@@ -13,8 +13,10 @@
 //!   classification (compulsory / capacity / conflict);
 //! * [`FullyAssociativeCache`] — the fully-associative LRU reference used by
 //!   the paper's Table 3 (`FA` column);
-//! * [`LruStack`] — the stack-distance structure shared by the classifier and
-//!   by the conflict-vector profiler in the `xorindex` crate;
+//! * [`LruWindow`] — the flat top-of-stack window that the conflict-vector
+//!   profiler in the `xorindex` crate and [`ReuseStream`] walk;
+//! * [`LruStack`] — the unbounded stack-distance structure behind the
+//!   classifier, the fully-associative cache and the reference oracles;
 //! * [`CacheStats`] — counters and the `misses / K-uop` metric reported in the
 //!   paper's tables;
 //! * [`ReuseStream`] / [`CompactSets`] — the function-independent 3C
@@ -51,6 +53,7 @@ mod compact;
 mod config;
 mod fully_assoc;
 mod lru_stack;
+mod lru_window;
 mod preclass;
 mod replacement;
 mod stats;
@@ -67,6 +70,7 @@ pub use config::{CacheConfig, CacheConfigBuilder, CacheError};
 pub use fully_assoc::FullyAssociativeCache;
 pub use index::{BitSelectIndex, IndexFunction, ModuloIndex, XorIndex};
 pub use lru_stack::{LruStack, StackScan};
+pub use lru_window::LruWindow;
 pub use preclass::ReuseStream;
 pub use replacement::ReplacementPolicy;
 pub use stats::CacheStats;
@@ -83,6 +87,7 @@ mod lib_tests {
         assert_send_sync::<CacheStats>();
         assert_send_sync::<FullyAssociativeCache>();
         assert_send_sync::<LruStack>();
+        assert_send_sync::<LruWindow>();
         assert_send_sync::<XorIndex>();
         assert_send_sync::<ReuseStream>();
         assert_send_sync::<CompactSets>();

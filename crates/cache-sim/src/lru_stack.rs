@@ -4,6 +4,12 @@
 //! both walk an LRU stack: blocks are kept sorted by recency, and an access to
 //! block `x` needs to know which blocks were touched since the previous access
 //! to `x` (they are exactly the blocks above `x` on the stack).
+//!
+//! [`LruStack`] is the unbounded reference structure: the classifier, the
+//! fully-associative cache and the reference oracles
+//! (`ConflictProfile::from_blocks_reference`, [`ReuseStream::build_reference`](crate::ReuseStream::build_reference))
+//! walk it. The production profiler and pre-classifier walk the bounded
+//! [`LruWindow`](crate::LruWindow), which reports the same [`StackScan`].
 
 use std::collections::HashMap;
 
@@ -16,13 +22,21 @@ pub enum StackScan {
     /// The block was found within the scan limit; the payload is the stack
     /// distance, i.e. the number of *distinct* blocks accessed since the
     /// previous access to this block.
+    ///
+    /// The limit is inclusive: `distance` ranges over `0..=limit`. With the
+    /// cache capacity as the limit, `Within { distance: capacity }` is an
+    /// access the profiler records (its filter is "reuse distance > cache
+    /// size") but that a fully-associative LRU cache of `capacity` blocks
+    /// misses, so [`MissClassifier`](crate::MissClassifier) maps it to
+    /// [`ReuseClass::Far`](crate::ReuseClass::Far), not `Near`. `Within` is
+    /// therefore not the same as [`ReuseClass::Near`](crate::ReuseClass::Near).
     Within {
         /// Number of distinct blocks above the accessed block.
         distance: usize,
     },
     /// The block exists on the stack but deeper than the scan limit: its reuse
     /// distance exceeds the limit (a capacity miss for a cache of that many
-    /// blocks).
+    /// blocks, as is a `Within` at distance exactly `limit`).
     Beyond,
 }
 
@@ -116,11 +130,11 @@ impl LruStack {
         let outcome = match self.position.get(&block).copied() {
             None => StackScan::Cold,
             Some(node_idx) => {
-                // Walk from the head looking for the node, up to `limit` steps.
+                // Walk from the head looking for the node, up to `limit` steps;
+                // only once it is found are the blocks above it visited.
                 let mut distance = 0usize;
                 let mut cursor = self.head;
                 let mut found = false;
-                let mut above: Vec<u64> = Vec::new();
                 while let Some(i) = cursor {
                     if i == node_idx {
                         found = true;
@@ -129,14 +143,11 @@ impl LruStack {
                     if distance >= limit {
                         break;
                     }
-                    above.push(self.nodes[i].block);
                     distance += 1;
                     cursor = self.nodes[i].next;
                 }
                 if found {
-                    for b in above {
-                        visit(b);
-                    }
+                    self.iter().take(distance).for_each(&mut visit);
                     StackScan::Within { distance }
                 } else {
                     StackScan::Beyond

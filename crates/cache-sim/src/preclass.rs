@@ -7,13 +7,20 @@
 //! compulsory and capacity misses are index-function-independent: only
 //! conflict behaviour changes per candidate function.
 //!
-//! [`ReuseStream`] exploits that by running the [`MissClassifier`]'s
-//! HashMap-heavy LRU-stack walk **once** per (trace, geometry) and recording
-//! one compact reuse-class code per access. Replaying `k` candidate index
-//! functions then pays the stack walk once instead of `k` times; each replay
-//! only needs the per-access code to turn its own misses into 3C classes.
+//! [`ReuseStream`] exploits that by walking the LRU stack **once** per
+//! (trace, geometry) and recording one compact reuse-class code per access.
+//! Replaying `k` candidate index functions then pays the stack walk once
+//! instead of `k` times; each replay only needs the per-access code to turn
+//! its own misses into 3C classes.
+//!
+//! [`ReuseStream::build`] walks an [`LruWindow`]; [`ReuseStream::build_reference`]
+//! runs the [`MissClassifier`] over the unbounded [`LruStack`](crate::LruStack)
+//! and is the oracle the fast build is tested against. Both classify an
+//! access at distance exactly `capacity` as far: [`StackScan::Within`] covers
+//! distances up to and including the scan limit, one more than
+//! [`ReuseClass::Near`].
 
-use crate::{BlockAddr, MissClass, MissClassifier, ReuseClass};
+use crate::{BlockAddr, LruWindow, MissClass, MissClassifier, ReuseClass, StackScan};
 
 /// Compact per-access reuse code: first touch of the block.
 const CODE_COLD: u8 = 0;
@@ -24,7 +31,7 @@ const CODE_FAR: u8 = 2;
 
 /// A function-independent reuse-class stream for one (trace, geometry) pair.
 ///
-/// Built by a single [`MissClassifier`] pass; one byte per access. The stream
+/// Built by a single LRU-stack pass; one byte per access. The stream
 /// answers, for access `i`, "if a cache of this capacity misses here, what 3C
 /// class is the miss?" — exactly the information `Cache::access_block` derives
 /// per access when classification is enabled.
@@ -49,8 +56,29 @@ pub struct ReuseStream {
 impl ReuseStream {
     /// Classifies every access of `trace` against a fully-associative LRU
     /// cache holding `capacity_blocks` blocks.
+    ///
+    /// Walks an [`LruWindow`]; the codes equal [`ReuseStream::build_reference`]'s.
     #[must_use]
     pub fn build(trace: &[BlockAddr], capacity_blocks: usize) -> Self {
+        let mut window = LruWindow::new(capacity_blocks);
+        let codes = trace
+            .iter()
+            .map(|&block| match window.access(block.as_u64()).0 {
+                StackScan::Cold => CODE_COLD,
+                StackScan::Within { distance } if distance < capacity_blocks => CODE_NEAR,
+                StackScan::Within { .. } | StackScan::Beyond => CODE_FAR,
+            })
+            .collect();
+        ReuseStream {
+            codes,
+            capacity_blocks,
+        }
+    }
+
+    /// Reference form of [`ReuseStream::build`]: one
+    /// [`MissClassifier::observe`] per access over an unbounded LRU stack.
+    #[must_use]
+    pub fn build_reference(trace: &[BlockAddr], capacity_blocks: usize) -> Self {
         let mut classifier = MissClassifier::new(capacity_blocks);
         let codes = trace
             .iter()
@@ -118,8 +146,9 @@ mod tests {
     #[test]
     fn matches_the_classifier_access_by_access() {
         let trace = blocks(&[1, 2, 3, 1, 2, 4, 1, 5, 5, 2]);
-        for capacity in [1usize, 2, 3, 8] {
+        for capacity in [0usize, 1, 2, 3, 8] {
             let stream = ReuseStream::build(&trace, capacity);
+            assert_eq!(stream, ReuseStream::build_reference(&trace, capacity));
             let mut classifier = MissClassifier::new(capacity);
             for (i, &b) in trace.iter().enumerate() {
                 let reuse = classifier.observe(b);
@@ -146,9 +175,25 @@ mod tests {
     }
 
     #[test]
+    fn distance_equal_to_capacity_is_far() {
+        // Exactly `capacity` distinct blocks since the last use of block 1:
+        // the profiler records this access, but a fully-associative LRU cache
+        // of `capacity` blocks misses it, so it is a capacity miss here.
+        let trace = blocks(&[1, 2, 3, 4, 1]);
+        for stream in [
+            ReuseStream::build(&trace, 3),
+            ReuseStream::build_reference(&trace, 3),
+        ] {
+            assert_eq!(stream.miss_class(4), MissClass::Capacity);
+            assert_eq!(stream.conflict_eligible(), 0);
+        }
+    }
+
+    #[test]
     fn empty_trace() {
         let stream = ReuseStream::build(&[], 4);
         assert!(stream.is_empty());
         assert_eq!(stream.len(), 0);
+        assert_eq!(stream, ReuseStream::build_reference(&[], 4));
     }
 }

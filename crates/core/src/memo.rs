@@ -29,16 +29,23 @@ use gf2::{CanonicalKey, PackedBasis};
 
 use crate::FrozenKernel;
 
-/// FxHash-style hasher for the shard maps. Canonical-key words are already
-/// well-mixed pivot patterns and the table is internal (no untrusted keys),
-/// so SipHash's DoS resistance buys nothing here — a multiply per word
-/// roughly halves the probe cost on the serving hot path.
+/// FxHash-style hasher for the shard maps and the profiler's wide-width
+/// histogram. Canonical-key words are already well-mixed pivot patterns and
+/// both tables are internal (no untrusted keys), so SipHash's DoS resistance
+/// buys nothing here — a multiply per word roughly halves the probe cost on
+/// the serving hot path.
+///
+/// The hash table picks buckets from the low bits of the hash, while a
+/// product's low bits depend only on the low bits of its inputs; `finish`
+/// rotates the well-mixed high bits down so that keys sharing many low zero
+/// bits (conflict vectors of power-of-two-strided traces) do not pile into
+/// one bucket.
 #[derive(Default)]
-struct WordHasher(u64);
+pub(crate) struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 
     fn write(&mut self, bytes: &[u8]) {

@@ -1,10 +1,14 @@
 //! Conflict-vector profiling (paper Fig. 1).
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use cache_sim::{BlockAddr, LruStack, StackScan};
+use cache_sim::{BlockAddr, LruStack, LruWindow, StackScan};
 use gf2::BitVec;
 use serde::{Deserialize, Serialize};
+
+use crate::memo::WordHasher;
+use crate::FLAT_LOOKUP_MAX_BITS;
 
 /// Summary counters of a profiling run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,11 +31,19 @@ pub struct ProfileSummary {
 /// algorithm (Fig. 1).
 ///
 /// One pass over the block-address trace maintains an LRU stack. For every
-/// access to a block `x` whose previous use is within the cache capacity, the
-/// algorithm walks the blocks `y` touched since then and increments
+/// access to a block `x` with at most `capacity` distinct blocks touched since
+/// its previous use, the algorithm walks those blocks `y` and increments
 /// `misses(x ⊕ y)` (truncated to the hashed width `n`). Compulsory accesses
 /// and accesses with reuse distance larger than the cache capacity are
 /// filtered out because no index function can avoid those misses.
+///
+/// The filter is the paper's "reuse distance > cache size", so an access at
+/// distance exactly `capacity` *is* profiled, although a fully-associative
+/// LRU cache of `capacity` blocks misses it and the 3C classifier
+/// ([`cache_sim::MissClassifier`], [`cache_sim::ReuseStream`]) calls it a
+/// capacity miss. The two walks differ by one on purpose: a profiled access
+/// is a [`StackScan::Within`], which is wider than
+/// [`cache_sim::ReuseClass::Near`].
 ///
 /// The histogram then estimates the conflict misses of *any* hash function `H`
 /// as `Σ_{v ∈ N(H)} misses(v)` (paper Eq. 4) — see
@@ -62,12 +74,62 @@ impl ConflictProfile {
     /// Profiles a block-address stream for a cache of `capacity_blocks`
     /// blocks, hashing the low `hashed_bits` bits of the block address.
     ///
+    /// Walks a bounded [`LruWindow`] and counts conflict vectors in a flat
+    /// array indexed by the vector when `hashed_bits ≤`
+    /// [`FLAT_LOOKUP_MAX_BITS`] (a hash map keyed by the raw vector
+    /// otherwise); the histogram is built once at the end from the distinct
+    /// vectors. The result equals [`ConflictProfile::from_blocks_reference`]'s.
+    ///
     /// # Panics
     ///
     /// Panics if `hashed_bits` is 0 or larger than 64, or if
     /// `capacity_blocks` is 0.
     #[must_use]
     pub fn from_blocks<I>(blocks: I, hashed_bits: usize, capacity_blocks: usize) -> Self
+    where
+        I: IntoIterator<Item = BlockAddr>,
+    {
+        assert!(
+            (1..=64).contains(&hashed_bits),
+            "hashed_bits must be in 1..=64"
+        );
+        assert!(capacity_blocks > 0, "cache capacity must be positive");
+        let mask = u64::MAX >> (64 - hashed_bits);
+        let mut counts = VectorCounts::new(hashed_bits);
+        let mut window = LruWindow::new(capacity_blocks);
+        let mut summary = ProfileSummary::default();
+        for block in blocks {
+            summary.references += 1;
+            let x = block.as_u64();
+            match window.access(x) {
+                (StackScan::Cold, _) => summary.compulsory += 1,
+                (StackScan::Beyond, _) => summary.capacity += 1,
+                (StackScan::Within { .. }, above) => {
+                    summary.profiled += 1;
+                    summary.conflict_vectors += above.len() as u64;
+                    counts.add(above.iter().map(|&y| (x ^ y) & mask));
+                }
+            }
+        }
+        ConflictProfile {
+            hashed_bits,
+            capacity_blocks,
+            histogram: counts.into_histogram(hashed_bits),
+            summary,
+        }
+    }
+
+    /// Reference form of [`ConflictProfile::from_blocks`]: the paper's Fig. 1
+    /// as written, one [`LruStack`] walk per access and one `BitVec`-keyed
+    /// histogram increment per conflict vector. Kept as the oracle the fast
+    /// profiler is tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hashed_bits` is 0 or larger than 64, or if
+    /// `capacity_blocks` is 0.
+    #[must_use]
+    pub fn from_blocks_reference<I>(blocks: I, hashed_bits: usize, capacity_blocks: usize) -> Self
     where
         I: IntoIterator<Item = BlockAddr>,
     {
@@ -243,6 +305,55 @@ impl ConflictProfile {
     }
 }
 
+/// Conflict-vector counters of one profiling pass.
+enum VectorCounts {
+    /// One counter per vector value; slot 0 collects the vectors truncated to
+    /// zero, which are never recorded.
+    Flat(Vec<u64>),
+    /// Nonzero vectors of widths above [`FLAT_LOOKUP_MAX_BITS`].
+    Hashed(HashMap<u64, u64, BuildHasherDefault<WordHasher>>),
+}
+
+impl VectorCounts {
+    fn new(hashed_bits: usize) -> Self {
+        if hashed_bits <= FLAT_LOOKUP_MAX_BITS {
+            VectorCounts::Flat(vec![0; 1 << hashed_bits])
+        } else {
+            VectorCounts::Hashed(HashMap::default())
+        }
+    }
+
+    /// Counts each (already truncated) vector once.
+    fn add(&mut self, vectors: impl Iterator<Item = u64>) {
+        match self {
+            VectorCounts::Flat(counts) => {
+                for v in vectors {
+                    counts[v as usize] += 1;
+                }
+            }
+            VectorCounts::Hashed(counts) => {
+                for v in vectors.filter(|&v| v != 0) {
+                    *counts.entry(v).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+
+    fn into_histogram(self, hashed_bits: usize) -> HashMap<BitVec, u64> {
+        let key = |v: u64| BitVec::from_u64(v, hashed_bits);
+        match self {
+            VectorCounts::Flat(counts) => counts
+                .iter()
+                .enumerate()
+                .skip(1)
+                .filter(|&(_, &w)| w != 0)
+                .map(|(v, &w)| (key(v as u64), w))
+                .collect(),
+            VectorCounts::Hashed(counts) => counts.into_iter().map(|(v, w)| (key(v), w)).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,6 +468,22 @@ mod tests {
         let b = ConflictProfile::from_blocks(blocks(&[0, 1]), 16, 16);
         let mut a = a;
         a.merge(&b);
+    }
+
+    #[test]
+    fn distance_equal_to_capacity_is_profiled() {
+        // Exactly 3 distinct blocks (2, 3, 4) since the last use of block 1:
+        // with a capacity of 3 the revisit is profiled, even though a
+        // fully-associative LRU cache of 3 blocks would miss it.
+        for p in [
+            ConflictProfile::from_blocks(blocks(&[1, 2, 3, 4, 1]), 8, 3),
+            ConflictProfile::from_blocks_reference(blocks(&[1, 2, 3, 4, 1]), 8, 3),
+        ] {
+            assert_eq!(p.summary().profiled, 1);
+            assert_eq!(p.summary().capacity, 0);
+            assert_eq!(p.summary().conflict_vectors, 3);
+            assert_eq!(p.misses_of(1 ^ 4), 1);
+        }
     }
 
     #[test]
