@@ -27,7 +27,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gf2::PackedBasis;
 use xorindex::search::{NeighborPool, PackedNeighborhood};
-use xorindex::{BoundedCost, EstimationStrategy, EvalEngine, FrozenKernel, FunctionClass};
+use xorindex::{BoundedCost, EvalEngine, FrozenKernel, FunctionClass};
 use xorindex_bench::{prepare_data, HASHED_BITS};
 
 fn bench_bounded_sliced(c: &mut Criterion) {
@@ -35,7 +35,8 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     group.sample_size(10);
 
     // The paper's configuration: susan @ 4 KB, n = 16, dimension-6
-    // candidates, one full 4095-candidate neighbourhood.
+    // candidates (above the engine's delta limit of 4, so the engine rows
+    // take the coset route), one full 4095-candidate neighbourhood.
     let susan = prepare_data("susan", 4);
     let profile = &susan.profile;
     let kernel = FrozenKernel::new(profile);
@@ -68,10 +69,14 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     }
     let price = |threads: usize| {
         let mut engine = EvalEngine::new(profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
             .with_threads(threads)
             .with_memo_capacity(0);
-        engine.estimate_neighborhood_bounded(&nbhd, bound)
+        let costs = engine.estimate_neighborhood_bounded(&nbhd, bound);
+        assert!(
+            engine.stats().sliced_blocks > 0,
+            "engine took the coset route"
+        );
+        costs
     };
     assert_eq!(price(1), bounded);
     assert_eq!(price(4), bounded);
@@ -95,7 +100,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     // with every lane summed to completion — what a hill-climb step cost
     // before bounding.
     let mut engine = EvalEngine::new(profile)
-        .with_strategy(EstimationStrategy::ScanHistogram)
         .with_threads(1)
         .with_memo_capacity(0);
     group.bench_with_input(BenchmarkId::new("susan/engine/unbounded", n), &n, |b, _| {
@@ -106,7 +110,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
         // miss, inserts are rejected); the scaffold cache warms on the first
         // iteration and stays warm, like a climb revisiting its parent.
         let mut engine = EvalEngine::new(profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
             .with_threads(threads)
             .with_memo_capacity(0);
         group.bench_with_input(
@@ -120,7 +123,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     // hyperplane frame + remainder histogram either rebuilt every iteration
     // or answered from the cache.
     let mut engine = EvalEngine::new(profile)
-        .with_strategy(EstimationStrategy::ScanHistogram)
         .with_threads(1)
         .with_memo_capacity(0);
     group.bench_with_input(BenchmarkId::new("susan/scaffold/cold", n), &n, |b, _| {
@@ -130,7 +132,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
         })
     });
     let mut engine = EvalEngine::new(profile)
-        .with_strategy(EstimationStrategy::ScanHistogram)
         .with_threads(1)
         .with_memo_capacity(0);
     let _ = engine.estimate_neighborhood_bounded(&nbhd, bound);

@@ -9,7 +9,7 @@
 //!
 //! * [`FrozenKernel`] — the immutable pricing core: the [`DenseProfile`]
 //!   snapshot plus all Eq. 4 arithmetic (full walks, histogram scans,
-//!   hyperplane-delta coset sums) and strategy resolution. `Send + Sync`,
+//!   hyperplane-delta coset sums, coset-sliced blocks). `Send + Sync`,
 //!   shared via `Arc` so one kernel per application serves any number of
 //!   searches and serving workers concurrently.
 //! * [`ShardedMemo`] — the concurrent `CanonicalKey → u64` memo, sharded
@@ -19,25 +19,37 @@
 //!
 //! The façade adds what a single search loop needs on top: per-engine work
 //! counters ([`EngineStats`]), batch orchestration with
-//! `std::thread::scope` parallelism, and the hyperplane-delta neighbourhood
-//! evaluation. All paths compute the exact Eq. 4 sum; estimates are
-//! bit-identical to [`MissEstimator`](crate::MissEstimator) under every
-//! [`EstimationStrategy`], with or without a memo cap, and however many
-//! engines share one kernel and memo.
+//! `std::thread::scope` parallelism, and the choice of neighbourhood route,
+//! which depends only on the candidates' null-space dimension (see
+//! [`EvalEngine::estimate_neighborhood`]). All paths compute the exact Eq. 4
+//! sum; estimates are bit-identical to
+//! [`MissEstimator`](crate::MissEstimator) under either of its strategies,
+//! with or without a memo cap, and however many engines share one kernel and
+//! memo.
 
 use std::sync::Arc;
 
 use gf2::{PackedBasis, Subspace, SLICED_LANES};
 
 use crate::search::{Neighborhood, PackedNeighborhood};
-use crate::{
-    BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, EstimationStrategy, FrozenKernel,
-    NeighborhoodRoute, ScaffoldCache, ShardedMemo,
-};
+use crate::{BoundedCost, ConflictProfile, DenseProfile, FrozenKernel, ScaffoldCache, ShardedMemo};
 
 /// Minimum number of fresh candidates before a batch is split across threads
 /// (below this the spawn overhead dominates).
 const PARALLEL_THRESHOLD: usize = 8;
+
+/// Largest candidate null-space dimension whose neighbourhoods are priced by
+/// hyperplane deltas; above it they go through bounded or unbounded
+/// coset-sliced blocks.
+///
+/// A delta lane sums `2^(dim−1)` point lookups and is always priced (and
+/// memoized) in full, while a coset block shares one parent reduction per
+/// histogram entry across up to 64 lanes and abandons lanes that reach the
+/// incumbent. The `sliced_batch` bench's `lame*/delta` and
+/// `lame*/coset_bounded` rows price whole lame climbs (`n = 16`) at dims 4,
+/// 5, 6 and 8 both ways: delta is faster only at dim 4 (1.4–1.8× there,
+/// 1.7–4.2× slower above; the module docs of that bench list the rows).
+pub(crate) const DELTA_MAX_DIM: usize = 4;
 
 /// Counters describing the work an [`EvalEngine`] has performed.
 ///
@@ -114,8 +126,7 @@ pub struct EvalEngine<'a> {
 
 impl<'a> EvalEngine<'a> {
     /// Builds an engine over a profile, freezing its histogram into a private
-    /// kernel. Uses [`EstimationStrategy::Auto`] and as many threads as the
-    /// host exposes.
+    /// kernel. Uses as many threads as the host exposes.
     #[must_use]
     pub fn new(profile: &'a ConflictProfile) -> Self {
         Self::from_parts(
@@ -155,23 +166,6 @@ impl<'a> EvalEngine<'a> {
                 .unwrap_or(1),
             stats: EngineStats::default(),
         }
-    }
-
-    /// Selects the evaluation strategy (default: automatic per candidate).
-    ///
-    /// Rebuilds this engine's kernel; call it at construction time, before
-    /// sharing the kernel with other engines.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: EstimationStrategy) -> Self {
-        match Arc::get_mut(&mut self.kernel) {
-            // The common builder chain (`EvalEngine::new(p).with_strategy(s)`)
-            // still uniquely owns the kernel: update it in place.
-            Some(kernel) => kernel.set_strategy(strategy),
-            // Already shared: leave the other holders' kernel untouched and
-            // re-freeze a private copy with the new strategy.
-            None => self.kernel = Arc::new((*self.kernel).clone().with_strategy(strategy)),
-        }
-        self
     }
 
     /// Caps the number of worker threads batches may use (1 = sequential).
@@ -330,10 +324,10 @@ impl<'a> EvalEngine<'a> {
     }
 
     /// Shared batch core over borrowed packed bases: memo-probe every
-    /// candidate, then price the misses under the kernel's resolved
-    /// [`BatchStrategy`] — per candidate in parallel, or transposed into
-    /// 64-lane sliced blocks with whole blocks as the unit of parallelism —
-    /// and backfill the memo from the batch results.
+    /// candidate, then price the misses per candidate in parallel, or
+    /// transposed into 64-lane sliced blocks with whole blocks as the unit of
+    /// parallelism when the kernel's cost model says slicing is cheaper, and
+    /// backfill the memo from the batch results.
     fn estimate_batch_refs(&mut self, candidates: &[&PackedBasis]) -> Vec<u64> {
         let mut out = vec![0u64; candidates.len()];
         let mut pending: Vec<usize> = Vec::new();
@@ -351,47 +345,37 @@ impl<'a> EvalEngine<'a> {
         }
         let kernel = &*self.kernel;
         let dims: Vec<usize> = pending.iter().map(|&i| candidates[i].dim()).collect();
-        match kernel.batch_strategy(&dims) {
-            BatchStrategy::PerCandidate => {
-                let costs = Self::map_parallel(&pending, self.threads, &mut self.stats, |&i| {
-                    kernel.cost(candidates[i])
-                });
-                self.stats.evaluations += pending.len() as u64;
-                for (i, cost) in pending.into_iter().zip(costs) {
-                    out[i] = cost;
-                    self.memo.insert(candidates[i], cost);
-                }
-            }
-            BatchStrategy::SlicedScan => {
-                let chunks: Vec<&[usize]> = pending.chunks(SLICED_LANES).collect();
-                let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
-                    let refs: Vec<&PackedBasis> = chunk.iter().map(|&i| candidates[i]).collect();
-                    kernel.cost_batch_sliced(&refs)
-                });
-                self.stats.evaluations += pending.len() as u64;
-                self.stats.sliced_blocks += chunks.len() as u64;
-                for (chunk, costs) in chunks.iter().zip(blocks) {
-                    for (&i, cost) in chunk.iter().zip(costs) {
-                        out[i] = cost;
-                        self.memo.insert(candidates[i], cost);
-                    }
-                }
-            }
+        self.stats.evaluations += pending.len() as u64;
+        let costs = if kernel.slices_batch(&dims) {
+            let chunks: Vec<&[usize]> = pending.chunks(SLICED_LANES).collect();
+            self.stats.sliced_blocks += chunks.len() as u64;
+            Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
+                let refs: Vec<&PackedBasis> = chunk.iter().map(|&i| candidates[i]).collect();
+                kernel.cost_batch_sliced(&refs)
+            })
+            .concat()
+        } else {
+            Self::map_parallel(&pending, self.threads, &mut self.stats, |&i| {
+                kernel.cost(candidates[i])
+            })
+        };
+        for (i, cost) in pending.into_iter().zip(costs) {
+            out[i] = cost;
+            self.memo.insert(candidates[i], cost);
         }
         out
     }
 
-    /// Prices a packed neighbourhood under the kernel's resolved
-    /// [`NeighborhoodRoute`] — the packed-native path every search step runs
-    /// on. All three routes are bit-identical:
+    /// Prices a packed neighbourhood — the packed-native path every search
+    /// step runs on. The route depends only on the candidates' null-space
+    /// dimension `d`, and both routes are bit-identical:
     ///
-    /// * [`NeighborhoodRoute::SlicedCosets`]: pending candidates are
-    ///   transposed into [`gf2::SlicedCosetBlock`]s over the shared parent
-    ///   and priced by one histogram scan per 64-lane block;
-    /// * [`NeighborhoodRoute::HyperplaneDelta`]: each candidate
+    /// * `d ≤ 4` (`DELTA_MAX_DIM`), hyperplane deltas: each candidate
     ///   `M ⊕ span(w)` costs its hyperplane's partial sum (computed once per
     ///   hyperplane, memoized) plus a `2^(d−1)`-term coset sum;
-    /// * [`NeighborhoodRoute::PerCandidate`]: plain batch pricing.
+    /// * `d > 4`, coset blocks: pending candidates are transposed into
+    ///   [`gf2::SlicedCosetBlock`]s over the shared parent and priced by one
+    ///   histogram scan per 64-lane block.
     ///
     /// Either way the memo is probed first and backfilled with every fresh
     /// result. Returns costs aligned with `neighborhood.candidates`.
@@ -404,17 +388,10 @@ impl<'a> EvalEngine<'a> {
         if neighborhood.candidates.is_empty() {
             return Vec::new();
         }
-        let dim = neighborhood.candidates[0].basis.dim();
-        match self
-            .kernel
-            .neighborhood_route(dim, neighborhood.candidates.len())
-        {
-            NeighborhoodRoute::SlicedCosets => self.estimate_neighborhood_cosets(neighborhood),
-            NeighborhoodRoute::HyperplaneDelta => self.estimate_neighborhood_delta(neighborhood),
-            NeighborhoodRoute::PerCandidate => {
-                let refs: Vec<&PackedBasis> = neighborhood.bases().collect();
-                self.estimate_batch_refs(&refs)
-            }
+        if neighborhood.candidates[0].basis.dim() <= DELTA_MAX_DIM {
+            self.estimate_neighborhood_delta(neighborhood)
+        } else {
+            self.estimate_neighborhood_cosets(neighborhood)
         }
     }
 
@@ -490,8 +467,8 @@ impl<'a> EvalEngine<'a> {
     ///
     /// Exact lanes are bit-identical to the unbounded path and are backfilled
     /// into the memo; abandoned lanes are never memoized, so memoization
-    /// stays bit-correct. Only the coset-sliced route can abandon lanes; the
-    /// delta and per-candidate routes price exactly and wrap the results in
+    /// stays bit-correct. Only the coset route (`d > 4`) can abandon lanes;
+    /// the delta route prices exactly and wraps the results in
     /// [`BoundedCost::Exact`].
     ///
     /// # Panics
@@ -506,19 +483,13 @@ impl<'a> EvalEngine<'a> {
         if neighborhood.candidates.is_empty() {
             return Vec::new();
         }
-        let dim = neighborhood.candidates[0].basis.dim();
-        match self
-            .kernel
-            .neighborhood_route(dim, neighborhood.candidates.len())
-        {
-            NeighborhoodRoute::SlicedCosets => {
-                self.estimate_neighborhood_cosets_bounded(neighborhood, bound)
-            }
-            NeighborhoodRoute::HyperplaneDelta | NeighborhoodRoute::PerCandidate => self
-                .estimate_neighborhood(neighborhood)
+        if neighborhood.candidates[0].basis.dim() <= DELTA_MAX_DIM {
+            self.estimate_neighborhood_delta(neighborhood)
                 .into_iter()
                 .map(BoundedCost::Exact)
-                .collect(),
+                .collect()
+        } else {
+            self.estimate_neighborhood_cosets_bounded(neighborhood, bound)
         }
     }
 
@@ -743,7 +714,7 @@ impl<'a> EvalEngine<'a> {
 mod tests {
     use super::*;
     use crate::search::{neighborhood, NeighborPool};
-    use crate::{FunctionClass, HashFunction, MissEstimator};
+    use crate::{EstimationStrategy, FunctionClass, HashFunction, MissEstimator};
     use cache_sim::BlockAddr;
     use gf2::BitMatrix;
 
@@ -773,12 +744,11 @@ mod tests {
             HashFunction::bit_selecting(12, &[0, 1, 2, 3, 4, 11]).unwrap(),
             HashFunction::conventional(12, 2).unwrap(), // large null space
         ];
+        let mut engine = EvalEngine::new(&profile);
         for strategy in [
-            EstimationStrategy::Auto,
             EstimationStrategy::EnumerateNullSpace,
             EstimationStrategy::ScanHistogram,
         ] {
-            let mut engine = EvalEngine::new(&profile).with_strategy(strategy);
             let estimator = MissEstimator::new(&profile).with_strategy(strategy);
             for f in &functions {
                 let ns = f.null_space();
@@ -822,7 +792,8 @@ mod tests {
             FunctionClass::permutation_based_unlimited(),
             FunctionClass::bit_selecting(),
         ] {
-            let parent = HashFunction::conventional(12, 6).unwrap().null_space();
+            // 8 set bits leave dimension-4 null spaces: the delta route.
+            let parent = HashFunction::conventional(12, 8).unwrap().null_space();
             let nbhd = neighborhood(&parent, class, &pool);
             assert!(!nbhd.is_empty(), "{class}");
             let mut engine = EvalEngine::new(&profile);
@@ -842,7 +813,8 @@ mod tests {
     fn neighborhood_scan_fallback_is_exact() {
         // A tiny cache (2 set bits) gives 10-dimensional null spaces: 1023
         // non-zero vectors dwarf the handful of distinct conflict vectors, so
-        // Auto falls back to histogram scanning.
+        // scalar pricing scans the histogram and the neighbourhood goes
+        // through coset blocks.
         let profile = mixed_profile();
         let estimator = MissEstimator::new(&profile);
         let pool = NeighborPool::UnitsAndPairs.vectors(12, &profile);
@@ -938,36 +910,90 @@ mod tests {
     }
 
     #[test]
+    fn neighborhood_routes_switch_at_delta_max_dim() {
+        let profile = mixed_profile();
+        let kernel = crate::FrozenKernel::new(&profile);
+        let estimator = MissEstimator::new(&profile);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        for dim in [4usize, 5, 6, 8] {
+            let parent = gf2::PackedBasis::standard_span(12, 12 - dim..12);
+            let nbhd = crate::search::PackedNeighborhood::generate(
+                &parent,
+                FunctionClass::xor_unlimited(),
+                &pool,
+            );
+            assert!(nbhd.candidates.len() > gf2::SLICED_LANES, "dim={dim}");
+            let reference: Vec<u64> = nbhd.bases().map(|b| kernel.cost(b)).collect();
+            for (basis, &cost) in nbhd.bases().zip(&reference) {
+                assert_eq!(cost, estimator.estimate_packed(basis), "dim={dim}");
+            }
+            let delta = dim <= DELTA_MAX_DIM;
+            let route_ran = |stats: EngineStats| {
+                if delta {
+                    stats.support_evaluations > 0 && stats.sliced_blocks == 0
+                } else {
+                    stats.sliced_blocks > 0
+                }
+            };
+
+            let mut engine = EvalEngine::new(&profile);
+            assert_eq!(engine.estimate_neighborhood(&nbhd), reference, "dim={dim}");
+            assert!(route_ran(engine.stats()), "dim={dim}: {:?}", engine.stats());
+
+            // Bounded: above every cost each lane is exact; under the parent's
+            // own cost (a climb's first incumbent) lanes are exact or
+            // abandoned at the bound.
+            let parent_cost = kernel.cost(&parent);
+            for bound in [u64::MAX, parent_cost] {
+                let mut engine = EvalEngine::new(&profile);
+                let bounded = engine.estimate_neighborhood_bounded(&nbhd, bound);
+                assert!(route_ran(engine.stats()), "dim={dim}: {:?}", engine.stats());
+                for (lane, (&truth, &got)) in reference.iter().zip(&bounded).enumerate() {
+                    match got {
+                        BoundedCost::Exact(cost) => assert_eq!(cost, truth, "dim={dim} {lane}"),
+                        BoundedCost::AtLeast(b) => {
+                            assert!(!delta && b == bound && truth >= bound, "dim={dim} {lane}")
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn all_three_neighborhood_routes_are_bit_identical() {
         let profile = mixed_profile();
-        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
-        let parent = gf2::PackedBasis::standard_span(12, 6..12);
-        let nbhd = crate::search::PackedNeighborhood::generate(
-            &parent,
-            FunctionClass::xor_unlimited(),
-            &pool,
-        );
-        assert!(nbhd.candidates.len() > crate::memo::DEFAULT_MEMO_SHARDS);
         let kernel = crate::FrozenKernel::new(&profile);
-        let reference: Vec<u64> = nbhd
-            .candidates
-            .iter()
-            .map(|c| kernel.cost(&c.basis))
-            .collect();
-        // Each strategy pins a different route (Scan → coset blocks,
-        // Enumerate → hyperplane delta, Auto → whatever the model picks);
-        // every one must reproduce the scalar costs exactly.
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let mut engine = EvalEngine::new(&profile).with_strategy(strategy);
-            assert_eq!(
-                engine.estimate_neighborhood(&nbhd),
-                reference,
-                "{strategy:?}"
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        // Each route is driven directly, on both sides of `DELTA_MAX_DIM`:
+        // hyperplane deltas, coset blocks, and bounded coset blocks under a
+        // bound no lane reaches must all reproduce the scalar costs exactly.
+        for dim in [2usize, 4, 5, 6, 8] {
+            let parent = gf2::PackedBasis::standard_span(12, 12 - dim..12);
+            let nbhd = crate::search::PackedNeighborhood::generate(
+                &parent,
+                FunctionClass::xor_unlimited(),
+                &pool,
             );
+            assert!(nbhd.candidates.len() > crate::memo::DEFAULT_MEMO_SHARDS);
+            let reference: Vec<u64> = nbhd.bases().map(|b| kernel.cost(b)).collect();
+
+            let mut engine = EvalEngine::new(&profile);
+            let delta = engine.estimate_neighborhood_delta(&nbhd);
+            assert_eq!(delta, reference, "delta, dim={dim}");
+
+            let mut engine = EvalEngine::new(&profile);
+            let cosets = engine.estimate_neighborhood_cosets(&nbhd);
+            assert_eq!(cosets, reference, "cosets, dim={dim}");
+
+            let mut engine = EvalEngine::new(&profile);
+            let bounded: Vec<Option<u64>> = engine
+                .estimate_neighborhood_cosets_bounded(&nbhd, u64::MAX)
+                .into_iter()
+                .map(BoundedCost::exact)
+                .collect();
+            let expected: Vec<Option<u64>> = reference.iter().copied().map(Some).collect();
+            assert_eq!(bounded, expected, "bounded cosets, dim={dim}");
         }
     }
 
@@ -975,13 +1001,14 @@ mod tests {
     fn coset_route_counts_blocks_and_backfills_the_memo() {
         let profile = mixed_profile();
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        // Dimension-6 candidates, above `DELTA_MAX_DIM`: the coset route.
         let parent = gf2::PackedBasis::standard_span(12, 6..12);
         let nbhd = crate::search::PackedNeighborhood::generate(
             &parent,
             FunctionClass::xor_unlimited(),
             &pool,
         );
-        let mut engine = EvalEngine::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
+        let mut engine = EvalEngine::new(&profile);
         let first = engine.estimate_neighborhood(&nbhd);
         let lanes = nbhd.candidates.len() as u64;
         assert_eq!(engine.stats().evaluations, lanes);
@@ -999,6 +1026,7 @@ mod tests {
     fn threaded_sliced_coset_route_is_bit_identical_and_actually_splits() {
         let profile = mixed_profile();
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        // Dimension-6 candidates, above `DELTA_MAX_DIM`: the coset route.
         let parent = gf2::PackedBasis::standard_span(12, 6..12);
         let nbhd = crate::search::PackedNeighborhood::generate(
             &parent,
@@ -1008,12 +1036,8 @@ mod tests {
         // Enough candidates that the sliced route has ≥ PARALLEL_THRESHOLD
         // 64-lane chunks to split across workers.
         assert!(nbhd.candidates.len() >= PARALLEL_THRESHOLD * gf2::SLICED_LANES);
-        let mut sequential = EvalEngine::new(&profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
-            .with_threads(1);
-        let mut parallel = EvalEngine::new(&profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
-            .with_threads(4);
+        let mut sequential = EvalEngine::new(&profile).with_threads(1);
+        let mut parallel = EvalEngine::new(&profile).with_threads(4);
         let reference = sequential.estimate_neighborhood(&nbhd);
         assert_eq!(parallel.estimate_neighborhood(&nbhd), reference);
         // The parallel engine really split the sliced route: it counted the
@@ -1030,20 +1054,19 @@ mod tests {
     fn bounded_neighborhood_is_exact_below_and_at_least_above() {
         let profile = mixed_profile();
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        // Dimension-6 candidates, above `DELTA_MAX_DIM`: the coset route.
         let parent = gf2::PackedBasis::standard_span(12, 6..12);
         let nbhd = crate::search::PackedNeighborhood::generate(
             &parent,
             FunctionClass::xor_unlimited(),
             &pool,
         );
-        let mut exact_engine =
-            EvalEngine::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
+        let mut exact_engine = EvalEngine::new(&profile);
         let exact = exact_engine.estimate_neighborhood(&nbhd);
         let lo = *exact.iter().min().unwrap();
         let hi = *exact.iter().max().unwrap();
         for bound in [lo, lo + (hi - lo) / 2, hi + 1] {
-            let mut engine =
-                EvalEngine::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
+            let mut engine = EvalEngine::new(&profile);
             let bounded = engine.estimate_neighborhood_bounded(&nbhd, bound);
             let mut abandons = 0u64;
             for (lane, (&true_cost, &got)) in exact.iter().zip(&bounded).enumerate() {
@@ -1114,15 +1137,14 @@ mod tests {
     fn scaffold_cache_hits_across_neighborhood_revisits() {
         let profile = mixed_profile();
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        // Dimension-6 candidates, above `DELTA_MAX_DIM`: the coset route.
         let parent = gf2::PackedBasis::standard_span(12, 6..12);
         let nbhd = crate::search::PackedNeighborhood::generate(
             &parent,
             FunctionClass::xor_unlimited(),
             &pool,
         );
-        let mut engine = EvalEngine::new(&profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
-            .with_memo_capacity(1);
+        let mut engine = EvalEngine::new(&profile).with_memo_capacity(1);
         // With the memo effectively disabled, each pass re-prices the lanes —
         // but the scaffolding is built once and reused.
         let first = engine.estimate_neighborhood(&nbhd);
@@ -1138,7 +1160,6 @@ mod tests {
             Arc::clone(engine.kernel()),
             ShardedMemo::with_capacity(1),
         )
-        .with_strategy(EstimationStrategy::ScanHistogram)
         .with_scaffold_cache(engine.scaffold_cache().clone());
         assert_eq!(shared.estimate_neighborhood(&nbhd), first);
         assert_eq!(shared.stats().scaffold_misses, 0);
@@ -1154,7 +1175,11 @@ mod tests {
         let candidates: Vec<gf2::PackedBasis> = (2..=9)
             .map(|m| gf2::PackedBasis::standard_span(12, m..12))
             .collect();
-        let mut engine = EvalEngine::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
+        let mut engine = EvalEngine::new(&profile);
+        // Eight wide null spaces over a small histogram: the geometry forces
+        // the sliced batch path.
+        let dims: Vec<usize> = candidates.iter().map(gf2::PackedBasis::dim).collect();
+        assert!(engine.kernel().slices_batch(&dims));
         let batch = engine.estimate_batch(&candidates);
         let fresh: Vec<u64> = candidates
             .iter()

@@ -29,15 +29,23 @@ pub enum EstimationStrategy {
     ScanHistogram,
 }
 
-/// Resolves [`EstimationStrategy::Auto`] for a null space of dimension `dim`
-/// against a histogram of `distinct_vectors` recorded conflict vectors:
-/// enumerate the `2^dim − 1` *non-zero* null-space vectors (the zero vector
-/// is never recorded, so enumeration skips it) when there are no more of them
-/// than distinct vectors, otherwise scan the histogram.
+/// `true` when enumerating the `2^dim − 1` *non-zero* vectors of a null space
+/// of dimension `dim` (the zero vector is never recorded, so enumeration
+/// skips it) costs no more lookups than scanning a histogram of
+/// `distinct_vectors` recorded conflict vectors.
 ///
-/// The single source of truth for the crossover — both [`MissEstimator`] and
-/// [`EvalEngine`](crate::EvalEngine) call it, which is what keeps their
-/// strategy choices (and therefore their per-candidate work) aligned.
+/// The single source of truth for the scalar crossover — [`MissEstimator`]
+/// under [`EstimationStrategy::Auto`] and every scalar price of
+/// [`FrozenKernel`](crate::FrozenKernel) call it, which is what keeps their
+/// per-candidate work aligned.
+#[must_use]
+pub(crate) fn enumeration_pays(dim: usize, distinct_vectors: usize) -> bool {
+    (1u128 << dim) - 1 <= distinct_vectors as u128
+}
+
+/// Resolves [`EstimationStrategy::Auto`] for a null space of dimension `dim`
+/// against a histogram of `distinct_vectors` recorded conflict vectors (see
+/// [`enumeration_pays`]); explicit strategies resolve to themselves.
 #[must_use]
 pub(crate) fn resolve_strategy(
     strategy: EstimationStrategy,
@@ -45,50 +53,12 @@ pub(crate) fn resolve_strategy(
     distinct_vectors: usize,
 ) -> EstimationStrategy {
     match strategy {
-        EstimationStrategy::Auto => {
-            let nonzero_null_vectors = (1u128 << dim) - 1;
-            if nonzero_null_vectors <= distinct_vectors as u128 {
-                EstimationStrategy::EnumerateNullSpace
-            } else {
-                EstimationStrategy::ScanHistogram
-            }
+        EstimationStrategy::Auto if enumeration_pays(dim, distinct_vectors) => {
+            EstimationStrategy::EnumerateNullSpace
         }
+        EstimationStrategy::Auto => EstimationStrategy::ScanHistogram,
         other => other,
     }
-}
-
-/// How a *batch* of candidates is priced: transposed and bit-sliced, or one
-/// candidate at a time.
-///
-/// Both paths compute the exact Eq. 4 sum for every candidate; they differ
-/// only in data layout. [`BatchStrategy::SlicedScan`] packs up to 64
-/// candidates into a [`gf2::SlicedBlock`] and scans the histogram once,
-/// advancing every candidate per entry with word-parallel membership masks;
-/// [`BatchStrategy::PerCandidate`] prices each candidate independently under
-/// its own resolved [`EstimationStrategy`] (typically a `2^dim` null-space
-/// enumeration when the null space is small).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchStrategy {
-    /// One transposed histogram scan prices the whole block of candidates.
-    SlicedScan,
-    /// Each candidate is priced alone (enumeration or scalar scan).
-    PerCandidate,
-}
-
-/// How a *neighbourhood* — candidates `hyperplane ⊕ span(direction)` over one
-/// shared parent — is priced. All three routes compute the exact Eq. 4 sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NeighborhoodRoute {
-    /// Transpose the candidates into [`gf2::SlicedCosetBlock`]s (one shared
-    /// parent reduction rejects all 64 lanes per histogram entry) and scan
-    /// the histogram once per block.
-    SlicedCosets,
-    /// Per candidate, reuse the retained hyperplane's memoized partial sum
-    /// and add a `2^(dim−1)`-term coset sum (the one-generator-delta
-    /// identity).
-    HyperplaneDelta,
-    /// Price each candidate alone, as a plain batch.
-    PerCandidate,
 }
 
 /// An Eq. 4 price under an incumbent bound: either the exact miss count, or
@@ -128,135 +98,17 @@ impl BoundedCost {
     }
 }
 
-/// Cost-model weight of one dense-table point lookup relative to one `u64`
-/// ALU operation, used when comparing a `2^dim`-lookup enumeration against
-/// the bit-sliced scan's word arithmetic. Calibrated on the susan@4KB
-/// workload (`n = 16`, dim 6, ~500 distinct vectors), where a dense lookup
-/// costs a few times a dependent XOR chain step.
-const ENUM_LOOKUP_UNITS: u128 = 4;
-
-/// Modelled per-entry overhead of the coset block's shared rejection test
-/// beyond the `dim`-row parent reduction: the remainder binary search and
-/// branch.
-const COSET_PROBE_UNITS: u128 = 6;
-
-/// Modelled `u64`-operation cost of pricing one candidate alone: the cheaper
-/// of enumerating its `2^dim` null-space vectors or scanning the histogram
-/// with a `dim`-row reduction per entry.
-pub(crate) fn scalar_units(dim: usize, distinct_vectors: usize) -> u128 {
-    let enumerate = ENUM_LOOKUP_UNITS << dim.min(100);
-    let scan = (distinct_vectors as u128) * (dim.max(1) as u128);
-    enumerate.min(scan)
-}
-
-/// Modelled `u64`-operation cost of pricing one whole generic sliced block
-/// (up to 64 lanes): per histogram entry, one column-slice XOR across
-/// `max_checks` check planes for each set bit of the entry
-/// (`mean_popcount`).
-pub(crate) fn sliced_units(
-    mean_popcount: usize,
-    max_checks: usize,
-    distinct_vectors: usize,
-) -> u128 {
-    (distinct_vectors as u128) * (max_checks.max(1) as u128) * (mean_popcount as u128 + 1)
-}
-
-/// Modelled `u64`-operation cost of pricing one whole coset block (up to 64
-/// lanes): per histogram entry, a `dim`-row parent reduction plus the
-/// remainder probe; the parity pass only runs for the few entries near the
-/// parent and is folded into the probe constant.
-pub(crate) fn coset_units(dim: usize, distinct_vectors: usize) -> u128 {
-    (distinct_vectors as u128) * (dim as u128 + COSET_PROBE_UNITS)
-}
-
-/// Resolves how a neighbourhood of `lanes` candidates of null-space dimension
-/// `dim` over one shared parent should be priced.
-///
-/// An explicit [`EstimationStrategy::EnumerateNullSpace`] keeps the
-/// enumeration-based delta path; an explicit
-/// [`EstimationStrategy::ScanHistogram`] transposes into coset blocks (the
-/// coset scan *is* the histogram scan, shared across lanes);
-/// [`EstimationStrategy::Auto`] compares the modelled per-candidate costs.
-/// Single-candidate neighbourhoods are never sliced.
-#[must_use]
-pub(crate) fn resolve_neighborhood_route(
-    strategy: EstimationStrategy,
-    dim: usize,
-    lanes: usize,
-    distinct_vectors: usize,
-) -> NeighborhoodRoute {
-    if lanes <= 1 || dim == 0 {
-        return match resolve_strategy(strategy, dim, distinct_vectors) {
-            EstimationStrategy::EnumerateNullSpace => NeighborhoodRoute::HyperplaneDelta,
-            _ => NeighborhoodRoute::PerCandidate,
-        };
-    }
-    match strategy {
-        EstimationStrategy::EnumerateNullSpace => NeighborhoodRoute::HyperplaneDelta,
-        EstimationStrategy::ScanHistogram => NeighborhoodRoute::SlicedCosets,
-        EstimationStrategy::Auto => {
-            let block_lanes = lanes.min(gf2::SLICED_LANES) as u128;
-            let coset = coset_units(dim, distinct_vectors) / block_lanes;
-            let delta = ENUM_LOOKUP_UNITS << (dim - 1).min(100);
-            let scalar = scalar_units(dim, distinct_vectors);
-            if coset <= delta && coset <= scalar {
-                NeighborhoodRoute::SlicedCosets
-            } else if delta <= scalar {
-                NeighborhoodRoute::HyperplaneDelta
-            } else {
-                NeighborhoodRoute::PerCandidate
-            }
-        }
-    }
-}
-
-/// Resolves how one block of candidates (at most [`gf2::SLICED_LANES`], with
-/// the given null-space dimensions) should be priced against a histogram of
-/// `distinct_vectors` entries.
-///
-/// An explicit [`EstimationStrategy::EnumerateNullSpace`] always prices per
-/// candidate (enumeration has no sliced form) and an explicit
-/// [`EstimationStrategy::ScanHistogram`] always slices (the sliced scan *is*
-/// the histogram scan, transposed); [`EstimationStrategy::Auto`] compares the
-/// modelled word-operation costs of the two paths. Single-candidate blocks
-/// are never sliced.
-#[must_use]
-pub(crate) fn resolve_batch_strategy(
-    strategy: EstimationStrategy,
-    width: usize,
-    mean_popcount: usize,
-    dims: &[usize],
-    distinct_vectors: usize,
-) -> BatchStrategy {
-    if dims.len() <= 1 {
-        return BatchStrategy::PerCandidate;
-    }
-    match strategy {
-        EstimationStrategy::EnumerateNullSpace => BatchStrategy::PerCandidate,
-        EstimationStrategy::ScanHistogram => BatchStrategy::SlicedScan,
-        EstimationStrategy::Auto => {
-            let scalar: u128 = dims
-                .iter()
-                .map(|&dim| scalar_units(dim, distinct_vectors))
-                .sum();
-            let max_checks = dims.iter().map(|&dim| width - dim).max().unwrap_or(0);
-            if sliced_units(mean_popcount, max_checks, distinct_vectors) < scalar {
-                BatchStrategy::SlicedScan
-            } else {
-                BatchStrategy::PerCandidate
-            }
-        }
-    }
-}
-
 /// Estimates the conflict misses a hash function would incur, using a
 /// [`ConflictProfile`] instead of re-simulating the trace (paper Eq. 4).
 ///
-/// The estimate is exact for the conventional function the profile was
-/// gathered against and a good approximation for nearby functions; the paper
-/// proves no profile of this shape can be exact for *all* XOR functions
-/// simultaneously (its Section 3.3), which is what makes the overall algorithm
-/// a heuristic.
+/// The estimate is a model, not a simulation. On a direct-mapped cache, every
+/// conflict miss the conventional function incurs leaves a recorded conflict
+/// vector in that function's null space, so for the function the profile was
+/// gathered against the estimate never falls below the simulated
+/// conflict-miss count — but it can exceed it. For other functions it is an
+/// approximation: the paper proves no profile of this shape can be exact for
+/// *all* XOR functions simultaneously (its Section 3.3), which is what makes
+/// the overall algorithm a heuristic.
 ///
 /// # Example
 ///
@@ -325,8 +177,9 @@ impl<'a> MissEstimator<'a> {
 
     /// The concrete strategy [`MissEstimator::estimate_null_space`] would run
     /// for a null space of this dimension: never
-    /// [`EstimationStrategy::Auto`]. See [`resolve_strategy`] for the
-    /// crossover rule.
+    /// [`EstimationStrategy::Auto`], which enumerates when the null space's
+    /// `2^dim − 1` non-zero vectors are no more than the profile's distinct
+    /// conflict vectors and scans the histogram otherwise.
     #[must_use]
     pub fn resolved_strategy(&self, ns: &Subspace) -> EstimationStrategy {
         resolve_strategy(self.strategy, ns.dim(), self.profile.distinct_vectors())

@@ -2,8 +2,10 @@
 //!
 //! [`FrozenKernel`] is the immutable half of what used to be `EvalEngine`: a
 //! [`DenseProfile`] snapshot of one application's conflict histogram plus the
-//! Eq. 4 arithmetic (full null-space walks, histogram scans, and the
-//! hyperplane-delta coset sums) and the strategy-resolution rule. It holds no
+//! Eq. 4 arithmetic: full null-space walks, histogram scans, the
+//! hyperplane-delta coset sums and the coset-sliced neighbourhood blocks. Its
+//! pricing behaviour is a fixed function of the frozen histogram and the
+//! candidate's shape; nothing about it is configurable. It holds no
 //! interior mutability at all, so it is `Send + Sync` by construction and one
 //! `Arc<FrozenKernel>` can price candidates from any number of threads
 //! simultaneously — the [`EvalEngine`](crate::EvalEngine) façade, the search
@@ -11,12 +13,15 @@
 //! application instead of re-freezing the histogram per search.
 //!
 //! Pricing comes in two shapes. The scalar path ([`FrozenKernel::cost`])
-//! prices one candidate under its resolved [`EstimationStrategy`]. The batch
-//! path ([`FrozenKernel::cost_batch`] / [`FrozenKernel::cost_batch_sliced`])
-//! transposes up to [`SLICED_LANES`] candidates into a [`SlicedBlock`] and
-//! scans the histogram once, advancing every candidate per entry with a
-//! word-parallel membership mask; [`BatchStrategy`] resolution picks between
-//! the two by batch shape. Both compute the exact Eq. 4 sum, bit-identically.
+//! prices one candidate by enumerating its null space when that takes no
+//! more lookups than the histogram has entries, and by scanning the
+//! histogram otherwise. The batch path ([`FrozenKernel::cost_batch`] /
+//! [`FrozenKernel::cost_batch_sliced`]) transposes up to [`SLICED_LANES`]
+//! candidates into a [`SlicedBlock`] and scans the histogram once, advancing
+//! every candidate per entry with a word-parallel membership mask;
+//! [`FrozenKernel::cost_batch`] picks between the two per block from a
+//! word-operation cost model. Both compute the exact Eq. 4 sum,
+//! bit-identically.
 //!
 //! Memoization lives next door in [`ShardedMemo`](crate::ShardedMemo); the
 //! kernel itself never caches, so every method here is a pure function of the
@@ -24,14 +29,35 @@
 
 use gf2::{CosetFrame, CosetHistogram, PackedBasis, SlicedBlock, SLICED_LANES};
 
-use crate::estimate::{resolve_batch_strategy, resolve_neighborhood_route, resolve_strategy};
-use crate::{
-    BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, EstimationStrategy,
-    NeighborhoodRoute, XorIndexError,
-};
+use crate::estimate::enumeration_pays;
+use crate::{BoundedCost, ConflictProfile, DenseProfile, XorIndexError};
 
-/// The immutable Eq. 4 pricing core: a frozen [`DenseProfile`] plus the
-/// evaluation strategy, shareable across threads via `Arc`.
+/// Cost-model weight of one dense-table point lookup relative to one `u64`
+/// ALU operation, used when comparing a `2^dim`-lookup enumeration against
+/// the bit-sliced scan's word arithmetic. Calibrated on the susan@4KB
+/// workload (`n = 16`, dim 6, ~500 distinct vectors), where a dense lookup
+/// costs a few times a dependent XOR chain step.
+const ENUM_LOOKUP_UNITS: u128 = 4;
+
+/// Modelled `u64`-operation cost of pricing one candidate alone: the cheaper
+/// of enumerating its `2^dim` null-space vectors or scanning the histogram
+/// with a `dim`-row reduction per entry.
+fn scalar_units(dim: usize, distinct_vectors: usize) -> u128 {
+    let enumerate = ENUM_LOOKUP_UNITS << dim.min(100);
+    let scan = (distinct_vectors as u128) * (dim.max(1) as u128);
+    enumerate.min(scan)
+}
+
+/// Modelled `u64`-operation cost of pricing one whole generic sliced block
+/// (up to 64 lanes): per histogram entry, one column-slice XOR across
+/// `max_checks` check planes for each set bit of the entry
+/// (`mean_popcount`).
+fn sliced_units(mean_popcount: usize, max_checks: usize, distinct_vectors: usize) -> u128 {
+    (distinct_vectors as u128) * (max_checks.max(1) as u128) * (mean_popcount as u128 + 1)
+}
+
+/// The immutable Eq. 4 pricing core over a frozen [`DenseProfile`],
+/// shareable across threads via `Arc`.
 ///
 /// # Example
 ///
@@ -56,46 +82,21 @@ use crate::{
 #[derive(Debug, Clone)]
 pub struct FrozenKernel {
     dense: DenseProfile,
-    strategy: EstimationStrategy,
 }
 
 impl FrozenKernel {
-    /// Freezes a profile's histogram into a kernel using
-    /// [`EstimationStrategy::Auto`].
+    /// Freezes a profile's histogram into a kernel.
     #[must_use]
     pub fn new(profile: &ConflictProfile) -> Self {
         FrozenKernel {
             dense: DenseProfile::from_profile(profile),
-            strategy: EstimationStrategy::Auto,
         }
     }
 
     /// Builds a kernel over an already-frozen dense profile.
     #[must_use]
     pub fn from_dense(dense: DenseProfile) -> Self {
-        FrozenKernel {
-            dense,
-            strategy: EstimationStrategy::Auto,
-        }
-    }
-
-    /// Selects the evaluation strategy (default: automatic per candidate).
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: EstimationStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// In-place strategy change for a uniquely-owned kernel (the façade's
-    /// builder path), avoiding a dense-profile clone.
-    pub(crate) fn set_strategy(&mut self, strategy: EstimationStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The configured evaluation strategy.
-    #[must_use]
-    pub fn strategy(&self) -> EstimationStrategy {
-        self.strategy
+        FrozenKernel { dense }
     }
 
     /// The frozen dense view of the histogram.
@@ -125,7 +126,9 @@ impl FrozenKernel {
     }
 
     /// The exact Eq. 4 sum for one packed null space — a fresh evaluation,
-    /// never memoized.
+    /// never memoized. Enumerates the null space when its `2^dim − 1`
+    /// non-zero vectors are no more than the histogram's distinct vectors,
+    /// and scans the histogram otherwise.
     ///
     /// # Panics
     ///
@@ -134,19 +137,22 @@ impl FrozenKernel {
     #[must_use]
     pub fn cost(&self, basis: &PackedBasis) -> u64 {
         self.check_width(basis);
-        match resolve_strategy(self.strategy, basis.dim(), self.dense.distinct_vectors()) {
+        if self.enumerates(basis.dim()) {
             // The zero vector carries weight 0, so it needs no special case.
-            EstimationStrategy::EnumerateNullSpace => {
-                basis.vectors().map(|v| self.dense.misses_of(v)).sum()
-            }
-            EstimationStrategy::ScanHistogram => self
-                .dense
+            basis.vectors().map(|v| self.dense.misses_of(v)).sum()
+        } else {
+            self.dense
                 .iter()
                 .filter(|&(v, _)| basis.contains(v))
                 .map(|(_, w)| w)
-                .sum(),
-            EstimationStrategy::Auto => unreachable!("Auto resolved above"),
+                .sum()
         }
+    }
+
+    /// `true` when scalar pricing enumerates a null space of dimension `dim`
+    /// rather than scanning the histogram.
+    fn enumerates(&self, dim: usize) -> bool {
+        enumeration_pays(dim, self.dense.distinct_vectors())
     }
 
     /// Checked width test: `Ok` exactly when `basis` has the profile's hashed
@@ -181,10 +187,10 @@ impl FrozenKernel {
     }
 
     /// Prices a batch of candidates, chunking it into blocks of at most
-    /// [`SLICED_LANES`] and resolving each block to the bit-sliced scan or
-    /// the per-candidate path by shape (see [`BatchStrategy`]). Results are
-    /// aligned with `bases` and bit-identical to calling
-    /// [`FrozenKernel::cost`] per candidate.
+    /// [`SLICED_LANES`] and pricing each block by one bit-sliced scan or per
+    /// candidate, whichever a `u64`-operation cost model says is cheaper for
+    /// the block's dimensions. Results are aligned with `bases` and
+    /// bit-identical to calling [`FrozenKernel::cost`] per candidate.
     ///
     /// # Panics
     ///
@@ -194,40 +200,21 @@ impl FrozenKernel {
     pub fn cost_batch(&self, bases: &[&PackedBasis]) -> Vec<u64> {
         let mut out = Vec::with_capacity(bases.len());
         for chunk in bases.chunks(SLICED_LANES) {
-            out.extend(self.cost_block(chunk).0);
+            let dims: Vec<usize> = chunk.iter().map(|b| b.dim()).collect();
+            if self.slices_batch(&dims) {
+                out.extend(self.cost_block_sliced(chunk));
+            } else {
+                out.extend(chunk.iter().map(|b| self.cost(b)));
+            }
         }
         out
     }
 
-    /// Prices one block of at most [`SLICED_LANES`] candidates, reporting
-    /// which [`BatchStrategy`] the block resolved to (so callers can count
-    /// sliced work). The building block of [`FrozenKernel::cost_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is empty, exceeds [`SLICED_LANES`] lanes, or any
-    /// candidate's ambient width differs from the profile's hashed width.
-    #[must_use]
-    pub fn cost_block(&self, chunk: &[&PackedBasis]) -> (Vec<u64>, BatchStrategy) {
-        assert!(
-            chunk.len() <= SLICED_LANES,
-            "a block holds at most {SLICED_LANES} candidates"
-        );
-        let dims: Vec<usize> = chunk.iter().map(|b| b.dim()).collect();
-        let resolved = self.batch_strategy(&dims);
-        let costs = match resolved {
-            BatchStrategy::SlicedScan => self.cost_block_sliced(chunk),
-            BatchStrategy::PerCandidate => chunk.iter().map(|b| self.cost(b)).collect(),
-        };
-        (costs, resolved)
-    }
-
-    /// Forced bit-sliced batch pricing: every chunk of up to [`SLICED_LANES`]
-    /// candidates is transposed into a [`SlicedBlock`] and priced by one
-    /// histogram scan, regardless of what strategy resolution would pick.
-    /// Bit-identical to [`FrozenKernel::cost`] per candidate; useful for
-    /// benchmarking the sliced path and as the batch form of
-    /// [`EstimationStrategy::ScanHistogram`].
+    /// Bit-sliced batch pricing of every candidate: each chunk of up to
+    /// [`SLICED_LANES`] candidates is transposed into a [`SlicedBlock`] and
+    /// priced by one histogram scan, whatever the cost model would pick.
+    /// Bit-identical to [`FrozenKernel::cost`] per candidate; the engine's
+    /// sliced batch blocks run on it.
     ///
     /// # Panics
     ///
@@ -264,27 +251,22 @@ impl FrozenKernel {
         sums
     }
 
-    /// Resolves how a batch of candidates with the given null-space
-    /// dimensions should be priced — the [`BatchStrategy`] the sliced paths
-    /// and [`FrozenKernel::cost_block`] act on, exposed so orchestrating
-    /// callers (the engine) can pick their work partitioning to match.
-    #[must_use]
-    pub fn batch_strategy(&self, dims: &[usize]) -> BatchStrategy {
-        resolve_batch_strategy(
-            self.strategy,
-            self.hashed_bits(),
-            self.dense.mean_popcount(),
-            dims,
-            self.dense.distinct_vectors(),
-        )
-    }
-
-    /// Resolves how a neighbourhood of `lanes` candidates of null-space
-    /// dimension `dim` over one shared parent should be priced: transposed
-    /// coset blocks, hyperplane-delta reuse, or plain per-candidate pricing.
-    #[must_use]
-    pub fn neighborhood_route(&self, dim: usize, lanes: usize) -> NeighborhoodRoute {
-        resolve_neighborhood_route(self.strategy, dim, lanes, self.dense.distinct_vectors())
+    /// `true` when a batch of candidates with these null-space dimensions is
+    /// cheaper to price by one transposed histogram scan per 64-lane block
+    /// than one candidate at a time, under a `u64`-operation cost model.
+    /// Single-candidate batches never slice.
+    pub(crate) fn slices_batch(&self, dims: &[usize]) -> bool {
+        if dims.len() <= 1 {
+            return false;
+        }
+        let distinct = self.dense.distinct_vectors();
+        let scalar: u128 = dims.iter().map(|&dim| scalar_units(dim, distinct)).sum();
+        let max_checks = dims
+            .iter()
+            .map(|&dim| self.hashed_bits() - dim)
+            .max()
+            .unwrap_or(0);
+        sliced_units(self.dense.mean_popcount(), max_checks, distinct) < scalar
     }
 
     /// Prices a whole neighbourhood of candidates `hyperplanes[h] ⊕
@@ -398,38 +380,25 @@ impl FrozenKernel {
     pub fn cost_bounded(&self, basis: &PackedBasis, bound: u64) -> BoundedCost {
         self.check_width(basis);
         let mut sum = 0u64;
-        let saturated =
-            match resolve_strategy(self.strategy, basis.dim(), self.dense.distinct_vectors()) {
-                EstimationStrategy::EnumerateNullSpace => basis.vectors().any(|v| {
-                    sum += self.dense.misses_of(v);
+        let saturated = if self.enumerates(basis.dim()) {
+            basis.vectors().any(|v| {
+                sum += self.dense.misses_of(v);
+                sum >= bound
+            })
+        } else {
+            self.dense
+                .iter()
+                .filter(|&(v, _)| basis.contains(v))
+                .any(|(_, w)| {
+                    sum += w;
                     sum >= bound
-                }),
-                EstimationStrategy::ScanHistogram => self
-                    .dense
-                    .iter()
-                    .filter(|&(v, _)| basis.contains(v))
-                    .any(|(_, w)| {
-                        sum += w;
-                        sum >= bound
-                    }),
-                EstimationStrategy::Auto => unreachable!("Auto resolved above"),
-            };
+                })
+        };
         if saturated {
             BoundedCost::AtLeast(bound)
         } else {
             BoundedCost::Exact(sum)
         }
-    }
-
-    /// `true` when the hyperplane-delta decomposition pays off for candidates
-    /// of this null-space dimension — i.e. when the resolved strategy would
-    /// enumerate the null space rather than scan the histogram.
-    #[must_use]
-    pub fn delta_pays(&self, dim: usize) -> bool {
-        matches!(
-            resolve_strategy(self.strategy, dim, self.dense.distinct_vectors()),
-            EstimationStrategy::EnumerateNullSpace
-        )
     }
 
     /// Prices a neighbour `hyperplane ⊕ span(direction)` from its hyperplane's
@@ -455,7 +424,7 @@ impl FrozenKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HashFunction, MissEstimator};
+    use crate::{EstimationStrategy, HashFunction, MissEstimator};
     use cache_sim::BlockAddr;
 
     fn mixed_profile() -> ConflictProfile {
@@ -477,14 +446,14 @@ mod tests {
         assert_send_sync::<FrozenKernel>();
 
         let profile = mixed_profile();
+        let kernel = FrozenKernel::new(&profile);
         for strategy in [
             EstimationStrategy::Auto,
             EstimationStrategy::EnumerateNullSpace,
             EstimationStrategy::ScanHistogram,
         ] {
-            let kernel = FrozenKernel::new(&profile).with_strategy(strategy);
             let estimator = MissEstimator::new(&profile).with_strategy(strategy);
-            for m in 2..=8 {
+            for m in 2..=11 {
                 let ns = HashFunction::conventional(12, m).unwrap().null_space();
                 assert_eq!(
                     kernel.cost(&ns.to_packed()),
@@ -541,8 +510,6 @@ mod tests {
         let b = FrozenKernel::from_dense(DenseProfile::from_profile(&profile));
         assert_eq!(a.dense(), b.dense());
         assert_eq!(a.hashed_bits(), 12);
-        assert_eq!(a.strategy(), EstimationStrategy::Auto);
-        assert!(a.delta_pays(3));
     }
 
     #[test]
@@ -572,52 +539,55 @@ mod tests {
     #[test]
     fn batch_paths_are_bit_identical_under_every_strategy() {
         let profile = mixed_profile();
+        let kernel = FrozenKernel::new(&profile);
         let bases: Vec<PackedBasis> = (0..=10)
             .map(|m| PackedBasis::standard_span(12, m..12))
-            .chain((2..=8).map(|m| {
+            .chain((2..=11).map(|m| {
                 HashFunction::conventional(12, m)
                     .unwrap()
                     .null_space()
                     .to_packed()
             }))
             .collect();
+        // The bases straddle the scalar crossover, so both scalar strategies
+        // (enumerate and scan) price some of them.
+        assert!(bases.iter().any(|b| kernel.enumerates(b.dim())));
+        assert!(bases.iter().any(|b| !kernel.enumerates(b.dim())));
         let refs: Vec<&PackedBasis> = bases.iter().collect();
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let kernel = FrozenKernel::new(&profile).with_strategy(strategy);
-            let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-            assert_eq!(kernel.cost_batch(&refs), scalar, "{strategy:?} cost_batch");
-            assert_eq!(
-                kernel.cost_batch_sliced(&refs),
-                scalar,
-                "{strategy:?} cost_batch_sliced"
-            );
-        }
+        let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
+        assert_eq!(kernel.cost_batch(&refs), scalar, "cost_batch");
+        assert_eq!(kernel.cost_batch_sliced(&refs), scalar, "cost_batch_sliced");
+        assert_eq!(
+            kernel.cost_batch(&refs[..1]),
+            scalar[..1],
+            "single candidate"
+        );
+        // A single-candidate batch never slices.
+        assert!(!kernel.slices_batch(&[6]));
     }
 
     #[test]
     fn cost_block_reports_the_resolved_strategy() {
         let profile = mixed_profile();
-        let bases: Vec<PackedBasis> = (4..=9)
+        let kernel = FrozenKernel::new(&profile);
+        // Wide null spaces over this small histogram are cheaper to price by
+        // one transposed scan; two narrow ones are cheaper one at a time.
+        let wide: Vec<PackedBasis> = (2..=9)
             .map(|m| PackedBasis::standard_span(12, m..12))
             .collect();
-        let refs: Vec<&PackedBasis> = bases.iter().collect();
-        // A single-candidate block never slices, whatever the strategy.
-        let kernel = FrozenKernel::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
-        assert_eq!(kernel.cost_block(&refs[..1]).1, BatchStrategy::PerCandidate);
-        // Explicit strategies force the matching batch path on multi blocks.
-        assert_eq!(kernel.cost_block(&refs).1, BatchStrategy::SlicedScan);
-        let kernel =
-            FrozenKernel::new(&profile).with_strategy(EstimationStrategy::EnumerateNullSpace);
-        assert_eq!(kernel.cost_block(&refs).1, BatchStrategy::PerCandidate);
-        // Whichever path a block resolves to, the costs are the scalar costs.
-        let kernel = FrozenKernel::new(&profile);
-        let (costs, _) = kernel.cost_block(&refs);
-        let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-        assert_eq!(costs, scalar);
+        let narrow: Vec<PackedBasis> = (10..=11)
+            .map(|m| PackedBasis::standard_span(12, m..12))
+            .collect();
+        for (bases, slices) in [(&wide, true), (&narrow, false)] {
+            let refs: Vec<&PackedBasis> = bases.iter().collect();
+            let dims: Vec<usize> = refs.iter().map(|b| b.dim()).collect();
+            assert_eq!(kernel.slices_batch(&dims), slices, "{dims:?}");
+            // A single-candidate block never slices.
+            assert!(!kernel.slices_batch(&dims[..1]), "{dims:?}");
+            // Whichever path a block resolves to, the costs are the scalar costs.
+            let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
+            assert_eq!(kernel.cost_batch(&refs), scalar, "{dims:?}");
+        }
     }
 
     #[test]
@@ -638,21 +608,19 @@ mod tests {
                 }
             }
         }
-        for strategy in [EstimationStrategy::Auto, EstimationStrategy::ScanHistogram] {
-            let kernel = FrozenKernel::new(&profile).with_strategy(strategy);
-            let costs = kernel.cost_neighborhood_sliced(&parent, &hyperplanes, &lanes);
-            assert_eq!(costs.len(), lanes.len());
-            for (&(h, d), &cost) in lanes.iter().zip(&costs) {
-                assert_eq!(
-                    cost,
-                    kernel.cost(&hyperplanes[h].extended(d)),
-                    "{strategy:?} lane ({h}, {d:#x})"
-                );
-            }
-            assert!(kernel
-                .cost_neighborhood_sliced(&parent, &hyperplanes, &[])
-                .is_empty());
+        let kernel = FrozenKernel::new(&profile);
+        let costs = kernel.cost_neighborhood_sliced(&parent, &hyperplanes, &lanes);
+        assert_eq!(costs.len(), lanes.len());
+        for (&(h, d), &cost) in lanes.iter().zip(&costs) {
+            assert_eq!(
+                cost,
+                kernel.cost(&hyperplanes[h].extended(d)),
+                "lane ({h}, {d:#x})"
+            );
         }
+        assert!(kernel
+            .cost_neighborhood_sliced(&parent, &hyperplanes, &[])
+            .is_empty());
     }
 
     #[test]
@@ -702,28 +670,67 @@ mod tests {
     #[test]
     fn bounded_scalar_cost_matches_under_every_strategy() {
         let profile = mixed_profile();
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let kernel = FrozenKernel::new(&profile).with_strategy(strategy);
-            for m in 2..=8 {
-                let ns = PackedBasis::standard_span(12, m..12);
-                let exact = kernel.cost(&ns);
+        let kernel = FrozenKernel::new(&profile);
+        let dims: Vec<usize> = (1..=10).collect();
+        // Dimensions on both sides of the scalar crossover: the bounded scan
+        // and the bounded enumeration both run.
+        assert!(dims.iter().any(|&d| kernel.enumerates(d)));
+        assert!(dims.iter().any(|&d| !kernel.enumerates(d)));
+        for dim in dims {
+            // Bits 6, 7, … first, so even the enumerated spans catch weight.
+            let ns = PackedBasis::standard_span(12, (6..18).map(|b| b % 12).take(dim));
+            let exact = kernel.cost(&ns);
+            assert_eq!(
+                kernel.cost_bounded(&ns, exact + 1),
+                BoundedCost::Exact(exact),
+                "dim={dim}"
+            );
+            assert_eq!(kernel.cost_bounded(&ns, exact + 1).lower_bound(), exact);
+            if exact > 0 {
                 assert_eq!(
-                    kernel.cost_bounded(&ns, exact + 1),
-                    BoundedCost::Exact(exact),
-                    "{strategy:?} m={m}"
+                    kernel.cost_bounded(&ns, exact),
+                    BoundedCost::AtLeast(exact),
+                    "dim={dim}"
                 );
-                assert_eq!(kernel.cost_bounded(&ns, exact + 1).lower_bound(), exact);
-                if exact > 0 {
-                    assert_eq!(
-                        kernel.cost_bounded(&ns, exact),
-                        BoundedCost::AtLeast(exact),
-                        "{strategy:?} m={m}"
+            }
+        }
+    }
+
+    #[test]
+    fn neighborhood_route_resolves_by_shape() {
+        use crate::engine::DELTA_MAX_DIM;
+        use crate::search::{NeighborPool, PackedNeighborhood};
+        use crate::{EvalEngine, FunctionClass};
+
+        let profile = mixed_profile();
+        let kernel = FrozenKernel::new(&profile);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        // The route depends only on the candidates' dimension: a single-lane
+        // neighbourhood takes the same route as a full fan of that dimension.
+        for dim in 1..=11 {
+            let parent = PackedBasis::standard_span(12, 12 - dim..12);
+            let fan = PackedNeighborhood::generate(&parent, FunctionClass::xor_unlimited(), &pool);
+            assert!(!fan.candidates.is_empty(), "dim={dim}");
+            let mut single = fan.clone();
+            single.candidates.truncate(1);
+            for nbhd in [&fan, &single] {
+                let lanes = nbhd.candidates.len();
+                let mut engine = EvalEngine::new(&profile);
+                let costs = engine.estimate_neighborhood(nbhd);
+                let stats = engine.stats();
+                if dim <= DELTA_MAX_DIM {
+                    assert!(
+                        stats.support_evaluations > 0 && stats.sliced_blocks == 0,
+                        "dim={dim}, lanes={lanes}: {stats:?}"
+                    );
+                } else {
+                    assert!(
+                        stats.sliced_blocks > 0,
+                        "dim={dim}, lanes={lanes}: {stats:?}"
                     );
                 }
+                let scalar: Vec<u64> = nbhd.bases().map(|b| kernel.cost(b)).collect();
+                assert_eq!(costs, scalar, "dim={dim}, lanes={lanes}");
             }
         }
     }
@@ -752,43 +759,6 @@ mod tests {
         assert_eq!(
             via_scaffold,
             kernel.cost_neighborhood_sliced(&parent, &hyperplanes, &lanes)
-        );
-    }
-
-    #[test]
-    fn neighborhood_route_resolves_by_shape() {
-        let profile = mixed_profile();
-        let distinct = profile.distinct_vectors();
-        let kernel = FrozenKernel::new(&profile);
-        // Single-lane neighbourhoods never slice: they fall back on the
-        // scalar resolution — delta when enumeration would win, else plain.
-        for dim in 1..=11 {
-            let expect = if (1u128 << dim) - 1 <= distinct as u128 {
-                NeighborhoodRoute::HyperplaneDelta
-            } else {
-                NeighborhoodRoute::PerCandidate
-            };
-            assert_eq!(kernel.neighborhood_route(dim, 1), expect, "dim={dim}");
-        }
-        // Explicit strategies force their matching route on wide fans.
-        let kernel =
-            FrozenKernel::new(&profile).with_strategy(EstimationStrategy::EnumerateNullSpace);
-        assert_eq!(
-            kernel.neighborhood_route(6, 64),
-            NeighborhoodRoute::HyperplaneDelta
-        );
-        let kernel = FrozenKernel::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
-        assert_eq!(
-            kernel.neighborhood_route(6, 64),
-            NeighborhoodRoute::SlicedCosets
-        );
-        // Auto amortizes the coset scan over the block: with a full fan the
-        // per-lane cost of one shared histogram pass beats a 2^(dim−1)-term
-        // delta sum at search dimensions.
-        let kernel = FrozenKernel::new(&profile);
-        assert_eq!(
-            kernel.neighborhood_route(6, 64),
-            NeighborhoodRoute::SlicedCosets
         );
     }
 }

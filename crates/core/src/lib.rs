@@ -80,9 +80,7 @@ pub mod search;
 pub use dense::{DenseProfile, FLAT_LOOKUP_MAX_BITS, TAIL_CAP_MAX_BITS};
 pub use engine::{EngineStats, EvalEngine};
 pub use error::XorIndexError;
-pub use estimate::{
-    BatchStrategy, BoundedCost, EstimationStrategy, MissEstimator, NeighborhoodRoute,
-};
+pub use estimate::{BoundedCost, EstimationStrategy, MissEstimator};
 pub use function_class::FunctionClass;
 pub use hashfn::HashFunction;
 pub use kernel::FrozenKernel;

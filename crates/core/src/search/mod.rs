@@ -39,8 +39,8 @@ use gf2::{PackedBasis, Subspace};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    ConflictProfile, EstimationStrategy, EvalEngine, FrozenKernel, FunctionClass, HashFunction,
-    MissEstimator, ScaffoldCache, ShardedMemo, XorIndexError,
+    ConflictProfile, EvalEngine, FrozenKernel, FunctionClass, HashFunction, MissEstimator,
+    ScaffoldCache, ShardedMemo, XorIndexError,
 };
 
 pub use neighbors::{
@@ -130,7 +130,6 @@ pub struct Searcher<'a> {
     class: FunctionClass,
     set_bits: usize,
     pool: NeighborPool,
-    strategy: EstimationStrategy,
     threads: Option<usize>,
     kernel: Option<Arc<FrozenKernel>>,
     memo: Option<ShardedMemo>,
@@ -164,7 +163,6 @@ impl<'a> Searcher<'a> {
             class,
             set_bits,
             pool: NeighborPool::UnitsAndPairs,
-            strategy: EstimationStrategy::Auto,
             threads: None,
             kernel: None,
             memo: None,
@@ -182,13 +180,6 @@ impl<'a> Searcher<'a> {
         self
     }
 
-    /// Selects the estimation strategy (default: automatic).
-    #[must_use]
-    pub fn with_estimation_strategy(mut self, strategy: EstimationStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Caps the number of worker threads the evaluation engine may use for
     /// neighbourhood batches (default: one per host CPU; 1 = sequential).
     #[must_use]
@@ -202,8 +193,7 @@ impl<'a> Searcher<'a> {
     /// application across several classes, geometries or threads.
     ///
     /// The kernel must have been frozen from a profile with the same hashed
-    /// width (checked when the engine is assembled). Its strategy wins over
-    /// [`Searcher::with_estimation_strategy`].
+    /// width (checked when the engine is assembled).
     #[must_use]
     pub fn with_kernel(mut self, kernel: Arc<FrozenKernel>) -> Self {
         self.kernel = Some(kernel);
@@ -293,12 +283,8 @@ impl<'a> Searcher<'a> {
         PackedBasis::standard_span(self.hashed_bits(), self.set_bits..self.hashed_bits())
     }
 
-    fn estimator(&self) -> MissEstimator<'a> {
-        MissEstimator::new(self.profile).with_strategy(self.strategy)
-    }
-
     /// Builds the dense evaluation engine every search algorithm runs on,
-    /// configured with this searcher's strategy, thread cap, and any shared
+    /// configured with this searcher's thread cap and any shared
     /// kernel/memo supplied through [`Searcher::with_kernel`] /
     /// [`Searcher::with_memo`].
     ///
@@ -309,7 +295,7 @@ impl<'a> Searcher<'a> {
     pub fn engine(&self) -> EvalEngine<'a> {
         let kernel = match &self.kernel {
             Some(kernel) => Arc::clone(kernel),
-            None => Arc::new(FrozenKernel::new(self.profile).with_strategy(self.strategy)),
+            None => Arc::new(FrozenKernel::new(self.profile)),
         };
         let memo = match (&self.memo, self.memo_capacity) {
             (Some(memo), _) => memo.clone(),
@@ -329,8 +315,7 @@ impl<'a> Searcher<'a> {
     /// Estimated misses of the conventional function under this profile.
     #[must_use]
     pub fn baseline_estimate(&self) -> u64 {
-        self.estimator()
-            .estimate_null_space(&self.conventional_null_space())
+        MissEstimator::new(self.profile).estimate_null_space(&self.conventional_null_space())
     }
 
     /// Runs the chosen algorithm.

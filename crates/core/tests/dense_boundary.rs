@@ -9,9 +9,7 @@
 
 use cache_sim::BlockAddr;
 use gf2::PackedBasis;
-use xorindex::{
-    ConflictProfile, DenseProfile, EstimationStrategy, FrozenKernel, FLAT_LOOKUP_MAX_BITS,
-};
+use xorindex::{ConflictProfile, DenseProfile, FrozenKernel, FLAT_LOOKUP_MAX_BITS};
 
 /// A trace whose conflict vectors populate both the low-index region (small
 /// strides) and the top bit of the hashed space: a cyclic sweep over 32 low
@@ -30,7 +28,9 @@ fn boundary_profile(hashed_bits: usize) -> ConflictProfile {
 }
 
 /// Candidate null-space bases straddling the tail boundary: fully inside the
-/// low region, crossing into the top bit, and mixed-row spans.
+/// low region, crossing into the top bit, and mixed-row spans. The small ones
+/// are priced by enumerating their null space, the two 12-dimensional ones
+/// by scanning the histogram.
 fn candidate_bases(hashed_bits: usize) -> Vec<PackedBasis> {
     let top = hashed_bits - 1;
     vec![
@@ -40,6 +40,8 @@ fn candidate_bases(hashed_bits: usize) -> Vec<PackedBasis> {
         PackedBasis::standard_span(hashed_bits, [top - 1, top]),
         PackedBasis::standard_span(hashed_bits, [1usize, 2]).extended((1 << top) | 0b11),
         PackedBasis::standard_span(hashed_bits, [0usize, 2, 4]).extended(0b10_1010),
+        PackedBasis::standard_span(hashed_bits, 0..12),
+        PackedBasis::standard_span(hashed_bits, (0..11).chain([top])),
     ]
 }
 
@@ -113,6 +115,13 @@ fn kernel_costs_are_bit_identical_across_representations_and_strategies() {
         let profile = boundary_profile(hashed_bits);
         let bases = candidate_bases(hashed_bits);
         let refs: Vec<&PackedBasis> = bases.iter().collect();
+        // Both scalar strategies run: scalar pricing enumerates a null space
+        // when its 2^dim − 1 non-zero vectors are no more than the distinct
+        // conflict vectors, and scans the histogram otherwise.
+        let enumerates =
+            |b: &PackedBasis| (1u128 << b.dim()) - 1 <= profile.distinct_vectors() as u128;
+        assert!(bases.iter().any(enumerates), "no basis enumerates");
+        assert!(!bases.iter().all(enumerates), "no basis scans");
 
         // Independent reference: a direct scan of the sorted entries.
         let sorted = DenseProfile::with_tail_cap(&profile, 0);
@@ -132,28 +141,22 @@ fn kernel_costs_are_bit_identical_across_representations_and_strategies() {
         );
 
         for (name, rep) in representations(&profile) {
-            for strategy in [
-                EstimationStrategy::Auto,
-                EstimationStrategy::EnumerateNullSpace,
-                EstimationStrategy::ScanHistogram,
-            ] {
-                let kernel = FrozenKernel::from_dense(rep.clone()).with_strategy(strategy);
-                let scalar: Vec<u64> = bases.iter().map(|b| kernel.cost(b)).collect();
-                assert_eq!(
-                    scalar, expected,
-                    "scalar path diverged: {name} / {strategy:?} at {hashed_bits} bits"
-                );
-                assert_eq!(
-                    kernel.cost_batch(&refs),
-                    expected,
-                    "batch path diverged: {name} / {strategy:?} at {hashed_bits} bits"
-                );
-                assert_eq!(
-                    kernel.cost_batch_sliced(&refs),
-                    expected,
-                    "sliced path diverged: {name} / {strategy:?} at {hashed_bits} bits"
-                );
-            }
+            let kernel = FrozenKernel::from_dense(rep);
+            let scalar: Vec<u64> = bases.iter().map(|b| kernel.cost(b)).collect();
+            assert_eq!(
+                scalar, expected,
+                "scalar path diverged: {name} at {hashed_bits} bits"
+            );
+            assert_eq!(
+                kernel.cost_batch(&refs),
+                expected,
+                "batch path diverged: {name} at {hashed_bits} bits"
+            );
+            assert_eq!(
+                kernel.cost_batch_sliced(&refs),
+                expected,
+                "sliced path diverged: {name} at {hashed_bits} bits"
+            );
         }
     }
 }

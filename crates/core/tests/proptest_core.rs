@@ -39,6 +39,13 @@ fn cache_strategy() -> impl Strategy<Value = CacheConfig> {
     })
 }
 
+/// The conventional null space of `cache`, widened to dimension ≥ 5 so that
+/// its neighbourhoods take the engine's coset route (delta runs at dim ≤ 4).
+fn coset_parent(cache: &CacheConfig) -> gf2::PackedBasis {
+    let set_bits = cache.set_bits().min(HASHED_BITS - 5);
+    gf2::PackedBasis::standard_span(HASHED_BITS, set_bits..HASHED_BITS)
+}
+
 fn profile_of(blocks: &[BlockAddr], cache: &CacheConfig) -> ConflictProfile {
     ConflictProfile::from_blocks(
         blocks.iter().copied(),
@@ -186,22 +193,14 @@ proptest! {
             DenseProfile::from_profile(&profile),
             DenseProfile::with_tail_cap(&profile, tail_cap),
         ] {
-            for strategy in [
-                EstimationStrategy::Auto,
-                EstimationStrategy::EnumerateNullSpace,
-                EstimationStrategy::ScanHistogram,
-            ] {
-                let kernel = FrozenKernel::from_dense(dense.clone()).with_strategy(strategy);
-                let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-                prop_assert_eq!(
-                    &kernel.cost_batch(&refs), &scalar,
-                    "cost_batch, strategy {:?}, tail {}", strategy, dense.tail_bits()
-                );
-                prop_assert_eq!(
-                    &kernel.cost_batch_sliced(&refs), &scalar,
-                    "cost_batch_sliced, strategy {:?}, tail {}", strategy, dense.tail_bits()
-                );
-            }
+            let tail = dense.tail_bits();
+            let kernel = FrozenKernel::from_dense(dense);
+            let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
+            prop_assert_eq!(&kernel.cost_batch(&refs), &scalar, "cost_batch, tail {}", tail);
+            prop_assert_eq!(
+                &kernel.cost_batch_sliced(&refs), &scalar,
+                "cost_batch_sliced, tail {}", tail
+            );
         }
     }
 
@@ -229,19 +228,14 @@ proptest! {
                 .iter()
                 .map(|c| kernel.cost(&c.basis))
                 .collect();
-            // Every strategy pins a different neighbourhood route; all three
-            // must reproduce the per-candidate costs exactly.
-            for strategy in [
-                EstimationStrategy::Auto,
-                EstimationStrategy::EnumerateNullSpace,
-                EstimationStrategy::ScanHistogram,
-            ] {
-                let mut engine = EvalEngine::new(&profile).with_strategy(strategy);
-                prop_assert_eq!(
-                    &engine.estimate_neighborhood(&nbhd), &reference,
-                    "class {}, strategy {:?}", class, strategy
-                );
-            }
+            // Set bits 2–6 give dims 8–4, so both neighbourhood routes
+            // (delta at dim 4, coset blocks above) must reproduce the
+            // per-candidate costs exactly.
+            let mut engine = EvalEngine::new(&profile);
+            prop_assert_eq!(
+                &engine.estimate_neighborhood(&nbhd), &reference,
+                "class {}, set bits {}", class, cache.set_bits()
+            );
         }
     }
 
@@ -253,12 +247,11 @@ proptest! {
     ) {
         let profile = profile_of(&blocks, &cache);
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut engine = EvalEngine::new(&profile);
         for strategy in [
-            EstimationStrategy::Auto,
             EstimationStrategy::EnumerateNullSpace,
             EstimationStrategy::ScanHistogram,
         ] {
-            let mut engine = EvalEngine::new(&profile).with_strategy(strategy);
             let estimator = MissEstimator::new(&profile).with_strategy(strategy);
             for _ in 0..3 {
                 let matrix =
@@ -506,9 +499,8 @@ proptest! {
         cache in cache_strategy(),
         seed in any::<u64>(),
     ) {
-        // Costs are bit-identical under every strategy, so each algorithm's
-        // trajectory — and therefore its outcome — must not depend on which
-        // side of Eq. 4 the engine enumerates.
+        // Each algorithm's reported cost must match an independent
+        // re-estimate, whichever side of Eq. 4 the estimator enumerates.
         let profile = profile_of(&blocks, &cache);
         let algorithms = [
             SearchAlgorithm::HillClimb,
@@ -525,26 +517,23 @@ proptest! {
                 SearchAlgorithm::OptimalBitSelect => FunctionClass::bit_selecting(),
                 _ => FunctionClass::xor_unlimited(),
             };
-            let run = |strategy| {
-                Searcher::new(&profile, class, cache.set_bits())
-                    .unwrap()
-                    .with_estimation_strategy(strategy)
-                    .run(algorithm)
-                    .unwrap()
-            };
-            let enumerate = run(EstimationStrategy::EnumerateNullSpace);
-            let scan = run(EstimationStrategy::ScanHistogram);
-            let auto = run(EstimationStrategy::Auto);
-            prop_assert_eq!(enumerate.estimated_misses, scan.estimated_misses);
-            prop_assert_eq!(enumerate.estimated_misses, auto.estimated_misses);
-            prop_assert_eq!(&enumerate.function, &scan.function);
-            prop_assert_eq!(&enumerate.function, &auto.function);
-            prop_assert_eq!(enumerate.steps, scan.steps);
-            // The reported cost always matches an independent re-estimate.
-            prop_assert_eq!(
-                MissEstimator::new(&profile).estimate(&auto.function).unwrap(),
-                auto.estimated_misses
-            );
+            let outcome = Searcher::new(&profile, class, cache.set_bits())
+                .unwrap()
+                .run(algorithm)
+                .unwrap();
+            for strategy in [
+                EstimationStrategy::EnumerateNullSpace,
+                EstimationStrategy::ScanHistogram,
+            ] {
+                prop_assert_eq!(
+                    MissEstimator::new(&profile)
+                        .with_strategy(strategy)
+                        .estimate(&outcome.function)
+                        .unwrap(),
+                    outcome.estimated_misses,
+                    "{:?}, {:?}", algorithm, strategy
+                );
+            }
         }
     }
 }
@@ -942,27 +931,25 @@ proptest! {
         blocks in trace_strategy(),
         cache in cache_strategy(),
     ) {
-        // `ScanHistogram` pins the sliced-coset neighbourhood route, so this
-        // exercises the chunked `map_parallel` stamping path end to end:
-        // every thread count must reproduce the sequential costs bit for bit,
-        // bounded and unbounded alike.
+        // A parent of dimension ≥ 5 pins the sliced-coset neighbourhood
+        // route, so this exercises the chunked `map_parallel` stamping path
+        // end to end: every thread count must reproduce the sequential costs
+        // bit for bit, bounded and unbounded alike.
         let profile = profile_of(&blocks, &cache);
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
-        let parent = gf2::PackedBasis::standard_span(
-            HASHED_BITS,
-            cache.set_bits()..HASHED_BITS,
+        let nbhd = PackedNeighborhood::generate(
+            &coset_parent(&cache),
+            FunctionClass::xor_unlimited(),
+            &pool,
         );
-        let nbhd = PackedNeighborhood::generate(&parent, FunctionClass::xor_unlimited(), &pool);
         let price = |threads: usize| {
-            let mut engine = EvalEngine::new(&profile)
-                .with_strategy(EstimationStrategy::ScanHistogram)
-                .with_threads(threads);
-            engine.estimate_neighborhood(&nbhd)
+            let mut engine = EvalEngine::new(&profile).with_threads(threads);
+            let costs = engine.estimate_neighborhood(&nbhd);
+            assert!(engine.stats().sliced_blocks > 0, "coset route");
+            costs
         };
         let price_bounded = |threads: usize, bound: u64| {
-            let mut engine = EvalEngine::new(&profile)
-                .with_strategy(EstimationStrategy::ScanHistogram)
-                .with_threads(threads);
+            let mut engine = EvalEngine::new(&profile).with_threads(threads);
             engine.estimate_neighborhood_bounded(&nbhd, bound)
         };
         let sequential = price(1);
@@ -984,22 +971,24 @@ proptest! {
     ) {
         // Contract: a lane whose true Eq. 4 cost is below the bound is priced
         // exactly; every other lane is abandoned as `AtLeast(bound)`.
+        // A parent of dimension ≥ 5 pins the coset route, the only one that
+        // abandons lanes.
         let profile = profile_of(&blocks, &cache);
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
-        let parent = gf2::PackedBasis::standard_span(
-            HASHED_BITS,
-            cache.set_bits()..HASHED_BITS,
+        let nbhd = PackedNeighborhood::generate(
+            &coset_parent(&cache),
+            FunctionClass::xor_unlimited(),
+            &pool,
         );
-        let nbhd = PackedNeighborhood::generate(&parent, FunctionClass::xor_unlimited(), &pool);
         let kernel = FrozenKernel::new(&profile);
         let exact: Vec<u64> = nbhd.candidates.iter().map(|c| kernel.cost(&c.basis)).collect();
         let lo = exact.iter().copied().min().unwrap_or(0);
         let hi = exact.iter().copied().max().unwrap_or(0);
         for bound in [0, lo, lo + (hi - lo) / 2, hi, hi + 1] {
             // Fresh engine per bound: no memo carry-over between probes.
-            let mut engine = EvalEngine::new(&profile)
-                .with_strategy(EstimationStrategy::ScanHistogram);
+            let mut engine = EvalEngine::new(&profile);
             let priced = engine.estimate_neighborhood_bounded(&nbhd, bound);
+            prop_assert!(engine.stats().sliced_blocks > 0, "coset route at bound {}", bound);
             prop_assert_eq!(priced.len(), exact.len());
             for (i, (cost, &truth)) in priced.iter().zip(&exact).enumerate() {
                 match *cost {

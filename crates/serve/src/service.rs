@@ -732,11 +732,11 @@ impl IndexService {
                     PackedNeighborhood::generate(&winner_basis, app.class, &pool)
                 }
             };
-            // Price the neighbourhood through the engine's coset-sliced
-            // path: memo probes first, misses stamped 64 lanes at a time
-            // against the scaffold the climb's final iteration already
-            // cached for this very parent. Exact Eq. 4 costs, backfilled
-            // into the shared memo.
+            // Price the neighbourhood through the engine's neighbourhood
+            // route: memo probes first, then (above dimension 4) misses
+            // stamped 64 lanes at a time against the scaffold the climb's
+            // final iteration already cached for this very parent. Exact
+            // Eq. 4 costs, backfilled into the shared memo.
             let costs = searcher.engine().estimate_neighborhood(&hood);
             let mut scored: Vec<(u64, usize)> =
                 costs.into_iter().enumerate().map(|(i, c)| (c, i)).collect();
