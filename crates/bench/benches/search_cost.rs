@@ -3,6 +3,13 @@
 //! measures the three pipeline stages separately — profiling, a single
 //! Eq. 4 evaluation, and the full hill climb — so the cost model of the
 //! search can be compared against that figure.
+//!
+//! The `lame_1kb/{hill_climb,annealing}/xor_unlimited` rows run the two
+//! searches on lame at 1 KB (null-space dimension 8, 11,220 candidates per
+//! neighbourhood), annealing for 16 iterations at T = 50 as the repository
+//! benchmark's `optimize` workload does. 1 KB gives the largest
+//! neighbourhoods, and each annealing iteration generates a whole one to
+//! draw a single proposal, so these rows show generation cost most clearly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gf2::PackedBasis;
@@ -74,6 +81,39 @@ fn bench_search_cost(c: &mut Criterion) {
             black_box(engine.estimate_neighborhood(&nbhd))
         })
     });
+
+    let lame = prepare_data("lame", 1);
+    for (row, algorithm) in [
+        ("lame_1kb/hill_climb", SearchAlgorithm::HillClimb),
+        (
+            "lame_1kb/annealing",
+            SearchAlgorithm::Annealing {
+                iterations: 16,
+                initial_temperature: 50.0,
+                seed: 7,
+            },
+        ),
+    ] {
+        let searcher = Searcher::new(
+            &lame.profile,
+            FunctionClass::xor_unlimited(),
+            lame.cache.set_bits(),
+        )
+        .expect("valid geometry");
+        let outcome = searcher.run(algorithm).expect("search");
+        assert_eq!(
+            MissEstimator::new(&lame.profile)
+                .estimate(&outcome.function)
+                .expect("same geometry"),
+            outcome.estimated_misses,
+            "{row}"
+        );
+        group.bench_with_input(
+            BenchmarkId::new(row, "xor_unlimited"),
+            &algorithm,
+            |b, &algorithm| b.iter(|| black_box(searcher.run(algorithm).expect("search"))),
+        );
+    }
 
     for (label, class) in [
         ("bit_selecting", FunctionClass::bit_selecting()),

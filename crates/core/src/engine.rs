@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use gf2::{PackedBasis, Subspace, SLICED_LANES};
 
-use crate::search::{Neighborhood, PackedNeighborhood};
+use crate::search::{parent_span, Neighborhood, PackedNeighborhood};
 use crate::{BoundedCost, ConflictProfile, DenseProfile, FrozenKernel, ScaffoldCache, ShardedMemo};
 
 /// Minimum number of fresh candidates before a batch is split across threads
@@ -366,9 +366,9 @@ impl<'a> EvalEngine<'a> {
         out
     }
 
-    /// Prices a packed neighbourhood — the packed-native path every search
-    /// step runs on. The route depends only on the candidates' null-space
-    /// dimension `d`, and both routes are bit-identical:
+    /// Prices a packed neighbourhood. The route depends only on the
+    /// candidates' null-space dimension `d`, and both routes are
+    /// bit-identical:
     ///
     /// * `d ≤ 4` (`DELTA_MAX_DIM`), hyperplane deltas: each candidate
     ///   `M ⊕ span(w)` costs its hyperplane's partial sum (computed once per
@@ -378,41 +378,127 @@ impl<'a> EvalEngine<'a> {
     ///   histogram scan per 64-lane block.
     ///
     /// Either way the memo is probed first and backfilled with every fresh
-    /// result. Returns costs aligned with `neighborhood.candidates`.
+    /// result. Only the `(hyperplane, direction)` decomposition of each
+    /// candidate is read — the search algorithms price the same lanes
+    /// without materializing candidate bases. Returns costs aligned with
+    /// `neighborhood.candidates`.
     ///
     /// # Panics
     ///
-    /// Panics if a candidate's ambient width differs from the profile's
-    /// hashed width.
+    /// Panics if the neighbourhood's ambient width differs from the
+    /// profile's hashed width.
     pub fn estimate_neighborhood(&mut self, neighborhood: &PackedNeighborhood) -> Vec<u64> {
-        if neighborhood.candidates.is_empty() {
+        self.price_lanes(&neighborhood.hyperplanes, &neighborhood.lanes())
+    }
+
+    /// [`EvalEngine::estimate_neighborhood`] under an incumbent bound — the
+    /// form a best-improvement search step wants: per lane, either the exact
+    /// cost (memo hit, or priced below the bound) or
+    /// [`BoundedCost::AtLeast`]`(bound)` for a lane whose running sum
+    /// saturated the incumbent and was abandoned mid-scan.
+    ///
+    /// Exact lanes are bit-identical to the unbounded path and are backfilled
+    /// into the memo; abandoned lanes are never memoized, so memoization
+    /// stays bit-correct. Only the coset route (`d > 4`) can abandon lanes;
+    /// the delta route prices exactly and wraps the results in
+    /// [`BoundedCost::Exact`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the neighbourhood's ambient width differs from the
+    /// profile's hashed width.
+    pub fn estimate_neighborhood_bounded(
+        &mut self,
+        neighborhood: &PackedNeighborhood,
+        bound: u64,
+    ) -> Vec<BoundedCost> {
+        self.price_lanes_bounded(&neighborhood.hyperplanes, &neighborhood.lanes(), bound)
+    }
+
+    /// The pricing core behind [`EvalEngine::estimate_neighborhood`]: costs
+    /// of the candidates `hyperplanes[h] ⊕ span(direction)` for each
+    /// `(h, direction)` lane, aligned with `lanes`.
+    pub(crate) fn price_lanes(
+        &mut self,
+        hyperplanes: &[PackedBasis],
+        lanes: &[(usize, u64)],
+    ) -> Vec<u64> {
+        if lanes.is_empty() {
             return Vec::new();
         }
-        if neighborhood.candidates[0].basis.dim() <= DELTA_MAX_DIM {
-            self.estimate_neighborhood_delta(neighborhood)
+        self.kernel.check_width(&hyperplanes[0]);
+        if hyperplanes[0].dim() < DELTA_MAX_DIM {
+            self.price_lanes_delta(hyperplanes, lanes)
         } else {
-            self.estimate_neighborhood_cosets(neighborhood)
+            self.price_lanes_cosets(hyperplanes, lanes)
         }
+    }
+
+    /// The pricing core behind [`EvalEngine::estimate_neighborhood_bounded`].
+    pub(crate) fn price_lanes_bounded(
+        &mut self,
+        hyperplanes: &[PackedBasis],
+        lanes: &[(usize, u64)],
+        bound: u64,
+    ) -> Vec<BoundedCost> {
+        if lanes.is_empty() {
+            return Vec::new();
+        }
+        self.kernel.check_width(&hyperplanes[0]);
+        if hyperplanes[0].dim() < DELTA_MAX_DIM {
+            self.price_lanes_delta(hyperplanes, lanes)
+                .into_iter()
+                .map(BoundedCost::Exact)
+                .collect()
+        } else {
+            self.price_lanes_cosets_bounded(hyperplanes, lanes, bound)
+        }
+    }
+
+    /// Memo-probes every lane, answering hits into `out` and returning the
+    /// indices of the misses. Lanes probe with their extended key words, so
+    /// no candidate basis is built.
+    fn probe_lanes<T>(
+        &mut self,
+        hyperplanes: &[PackedBasis],
+        lanes: &[(usize, u64)],
+        out: &mut [T],
+        hit: impl Fn(u64) -> T,
+    ) -> Vec<usize> {
+        let mut buf = [0u64; 65];
+        let mut pending = Vec::new();
+        for (i, &(h, direction)) in lanes.iter().enumerate() {
+            let words = hyperplanes[h].extended_key_words(direction, &mut buf);
+            if let Some(cost) = self.memo.probe_words(words) {
+                self.stats.memo_hits += 1;
+                out[i] = hit(cost);
+            } else {
+                pending.push(i);
+            }
+        }
+        pending
+    }
+
+    /// Backfills the memo with the exact cost of one lane.
+    fn memoize_lane(&self, hyperplanes: &[PackedBasis], (h, direction): (usize, u64), cost: u64) {
+        let mut buf = [0u64; 65];
+        self.memo
+            .insert_words(hyperplanes[h].extended_key_words(direction, &mut buf), cost);
     }
 
     /// The transposed neighbourhood path: memo misses are packed, 64 lanes at
     /// a time, into [`gf2::SlicedCosetBlock`]s over the neighbourhood's
     /// shared parent and priced from one remainder-grouped histogram.
-    fn estimate_neighborhood_cosets(&mut self, neighborhood: &PackedNeighborhood) -> Vec<u64> {
-        let Some(parent) = neighborhood.parent_span() else {
+    fn price_lanes_cosets(
+        &mut self,
+        hyperplanes: &[PackedBasis],
+        lanes: &[(usize, u64)],
+    ) -> Vec<u64> {
+        let Some(parent) = parent_span(hyperplanes, lanes) else {
             return Vec::new();
         };
-        let mut out = vec![0u64; neighborhood.candidates.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, candidate) in neighborhood.candidates.iter().enumerate() {
-            self.kernel.check_width(&candidate.basis);
-            if let Some(cost) = self.memo.probe(&candidate.basis) {
-                self.stats.memo_hits += 1;
-                out[i] = cost;
-            } else {
-                pending.push(i);
-            }
-        }
+        let mut out = vec![0u64; lanes.len()];
+        let pending = self.probe_lanes(hyperplanes, lanes, &mut out, |cost| cost);
         if pending.is_empty() {
             return out;
         }
@@ -420,15 +506,9 @@ impl<'a> EvalEngine<'a> {
         // histogram — is cached per parent and shared read-only, so the
         // 64-lane blocks are independent units of work: each touches only the
         // entries its cosets select, and chunks stamp on scoped threads.
-        let scaffold = self.cached_scaffold(&parent, &neighborhood.hyperplanes);
-        let lanes: Vec<(usize, u64)> = pending
-            .iter()
-            .map(|&i| {
-                let candidate = &neighborhood.candidates[i];
-                (candidate.hyperplane, candidate.direction)
-            })
-            .collect();
-        let chunks: Vec<&[(usize, u64)]> = lanes.chunks(SLICED_LANES).collect();
+        let scaffold = self.cached_scaffold(&parent, hyperplanes);
+        let pending_lanes: Vec<(usize, u64)> = pending.iter().map(|&i| lanes[i]).collect();
+        let chunks: Vec<&[(usize, u64)]> = pending_lanes.chunks(SLICED_LANES).collect();
         let frame = &*scaffold.frame;
         let histogram = &*scaffold.histogram;
         let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
@@ -438,7 +518,7 @@ impl<'a> EvalEngine<'a> {
         self.stats.sliced_blocks += chunks.len() as u64;
         for (&i, cost) in pending.iter().zip(blocks.into_iter().flatten()) {
             out[i] = cost;
-            self.memo.insert(&neighborhood.candidates[i].basis, cost);
+            self.memoize_lane(hyperplanes, lanes[i], cost);
         }
         out
     }
@@ -459,75 +539,27 @@ impl<'a> EvalEngine<'a> {
         scaffold
     }
 
-    /// [`EvalEngine::estimate_neighborhood`] under an incumbent bound — the
-    /// form a best-improvement search step wants: per lane, either the exact
-    /// cost (memo hit, or priced below the bound) or
-    /// [`BoundedCost::AtLeast`]`(bound)` for a lane whose running sum
-    /// saturated the incumbent and was abandoned mid-scan.
-    ///
-    /// Exact lanes are bit-identical to the unbounded path and are backfilled
-    /// into the memo; abandoned lanes are never memoized, so memoization
-    /// stays bit-correct. Only the coset route (`d > 4`) can abandon lanes;
-    /// the delta route prices exactly and wraps the results in
-    /// [`BoundedCost::Exact`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a candidate's ambient width differs from the profile's
-    /// hashed width.
-    pub fn estimate_neighborhood_bounded(
-        &mut self,
-        neighborhood: &PackedNeighborhood,
-        bound: u64,
-    ) -> Vec<BoundedCost> {
-        if neighborhood.candidates.is_empty() {
-            return Vec::new();
-        }
-        if neighborhood.candidates[0].basis.dim() <= DELTA_MAX_DIM {
-            self.estimate_neighborhood_delta(neighborhood)
-                .into_iter()
-                .map(BoundedCost::Exact)
-                .collect()
-        } else {
-            self.estimate_neighborhood_cosets_bounded(neighborhood, bound)
-        }
-    }
-
     /// The bounded coset route: identical memo probing and block chunking to
-    /// [`EvalEngine::estimate_neighborhood_cosets`], but each block scans
-    /// under the bound and abandons once every live lane has saturated.
-    fn estimate_neighborhood_cosets_bounded(
+    /// [`EvalEngine::price_lanes_cosets`], but each block scans under the
+    /// bound and abandons once every live lane has saturated.
+    fn price_lanes_cosets_bounded(
         &mut self,
-        neighborhood: &PackedNeighborhood,
+        hyperplanes: &[PackedBasis],
+        lanes: &[(usize, u64)],
         bound: u64,
     ) -> Vec<BoundedCost> {
-        let Some(parent) = neighborhood.parent_span() else {
+        let Some(parent) = parent_span(hyperplanes, lanes) else {
             return Vec::new();
         };
-        let mut out = vec![BoundedCost::AtLeast(bound); neighborhood.candidates.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, candidate) in neighborhood.candidates.iter().enumerate() {
-            self.kernel.check_width(&candidate.basis);
-            if let Some(cost) = self.memo.probe(&candidate.basis) {
-                // A memo hit is exact whatever the bound.
-                self.stats.memo_hits += 1;
-                out[i] = BoundedCost::Exact(cost);
-            } else {
-                pending.push(i);
-            }
-        }
+        let mut out = vec![BoundedCost::AtLeast(bound); lanes.len()];
+        // A memo hit is exact whatever the bound.
+        let pending = self.probe_lanes(hyperplanes, lanes, &mut out, BoundedCost::Exact);
         if pending.is_empty() {
             return out;
         }
-        let scaffold = self.cached_scaffold(&parent, &neighborhood.hyperplanes);
-        let lanes: Vec<(usize, u64)> = pending
-            .iter()
-            .map(|&i| {
-                let candidate = &neighborhood.candidates[i];
-                (candidate.hyperplane, candidate.direction)
-            })
-            .collect();
-        let chunks: Vec<&[(usize, u64)]> = lanes.chunks(SLICED_LANES).collect();
+        let scaffold = self.cached_scaffold(&parent, hyperplanes);
+        let pending_lanes: Vec<(usize, u64)> = pending.iter().map(|&i| lanes[i]).collect();
+        let chunks: Vec<&[(usize, u64)]> = pending_lanes.chunks(SLICED_LANES).collect();
         let frame = &*scaffold.frame;
         let histogram = &*scaffold.histogram;
         let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
@@ -541,7 +573,7 @@ impl<'a> EvalEngine<'a> {
                 if saturated & (1u64 << j) == 0 {
                     self.stats.evaluations += 1;
                     out[i] = BoundedCost::Exact(sum);
-                    self.memo.insert(&neighborhood.candidates[i].basis, sum);
+                    self.memoize_lane(hyperplanes, lanes[i], sum);
                 } else {
                     self.stats.bounded_abandons += 1;
                     out[i] = BoundedCost::AtLeast(bound);
@@ -581,52 +613,47 @@ impl<'a> EvalEngine<'a> {
     }
 
     /// The hyperplane-delta neighbourhood path: partial sums per retained
-    /// hyperplane plus a coset sum per pending candidate.
-    fn estimate_neighborhood_delta(&mut self, neighborhood: &PackedNeighborhood) -> Vec<u64> {
+    /// hyperplane plus a coset sum per pending lane.
+    fn price_lanes_delta(
+        &mut self,
+        hyperplanes: &[PackedBasis],
+        lanes: &[(usize, u64)],
+    ) -> Vec<u64> {
         // Partial sums: one support evaluation per referenced hyperplane
         // (memoized, so a hyperplane shared with an earlier step is free).
-        let mut hyper: Vec<Option<u64>> = vec![None; neighborhood.hyperplanes.len()];
-        for candidate in &neighborhood.candidates {
-            let slot = candidate.hyperplane;
+        let mut hyper: Vec<Option<u64>> = vec![None; hyperplanes.len()];
+        for &(slot, _) in lanes {
             if hyper[slot].is_none() {
-                hyper[slot] = Some(self.estimate_support(&neighborhood.hyperplanes[slot]));
+                hyper[slot] = Some(self.estimate_support(&hyperplanes[slot]));
             }
         }
 
-        let mut out = vec![0u64; neighborhood.candidates.len()];
-        let mut pending: Vec<(usize, u64, &PackedBasis, u64)> = Vec::new();
-        for (i, candidate) in neighborhood.candidates.iter().enumerate() {
-            self.kernel.check_width(&candidate.basis);
-            if let Some(cost) = self.memo.probe(&candidate.basis) {
-                self.stats.memo_hits += 1;
-                out[i] = cost;
-            } else {
-                let hyper_cost = hyper[candidate.hyperplane]
-                    .expect("referenced hyperplanes are evaluated above");
-                pending.push((
-                    i,
-                    hyper_cost,
-                    &neighborhood.hyperplanes[candidate.hyperplane],
-                    candidate.direction,
-                ));
-            }
-        }
+        let mut out = vec![0u64; lanes.len()];
+        let pending = self.probe_lanes(hyperplanes, lanes, &mut out, |cost| cost);
         if pending.is_empty() {
             return out;
         }
         let kernel = &*self.kernel;
+        let jobs: Vec<(u64, &PackedBasis, u64)> = pending
+            .iter()
+            .map(|&i| {
+                let (h, direction) = lanes[i];
+                let hyper_cost = hyper[h].expect("referenced hyperplanes are evaluated above");
+                (hyper_cost, &hyperplanes[h], direction)
+            })
+            .collect();
         let costs = Self::map_parallel(
-            &pending,
+            &jobs,
             self.threads,
             &mut self.stats,
-            |&(_, hyper_cost, hyperplane, direction)| {
+            |&(hyper_cost, hyperplane, direction)| {
                 kernel.neighbour_cost(hyper_cost, hyperplane, direction)
             },
         );
         self.stats.evaluations += pending.len() as u64;
-        for ((i, ..), cost) in pending.into_iter().zip(costs) {
+        for (&i, cost) in pending.iter().zip(costs) {
             out[i] = cost;
-            self.memo.insert(&neighborhood.candidates[i].basis, cost);
+            self.memoize_lane(hyperplanes, lanes[i], cost);
         }
         out
     }
@@ -978,22 +1005,67 @@ mod tests {
             assert!(nbhd.candidates.len() > crate::memo::DEFAULT_MEMO_SHARDS);
             let reference: Vec<u64> = nbhd.bases().map(|b| kernel.cost(b)).collect();
 
+            let lanes = nbhd.lanes();
             let mut engine = EvalEngine::new(&profile);
-            let delta = engine.estimate_neighborhood_delta(&nbhd);
+            let delta = engine.price_lanes_delta(&nbhd.hyperplanes, &lanes);
             assert_eq!(delta, reference, "delta, dim={dim}");
 
             let mut engine = EvalEngine::new(&profile);
-            let cosets = engine.estimate_neighborhood_cosets(&nbhd);
+            let cosets = engine.price_lanes_cosets(&nbhd.hyperplanes, &lanes);
             assert_eq!(cosets, reference, "cosets, dim={dim}");
 
             let mut engine = EvalEngine::new(&profile);
             let bounded: Vec<Option<u64>> = engine
-                .estimate_neighborhood_cosets_bounded(&nbhd, u64::MAX)
+                .price_lanes_cosets_bounded(&nbhd.hyperplanes, &lanes, u64::MAX)
                 .into_iter()
                 .map(BoundedCost::exact)
                 .collect();
             let expected: Vec<Option<u64>> = reference.iter().copied().map(Some).collect();
             assert_eq!(bounded, expected, "bounded cosets, dim={dim}");
+        }
+    }
+
+    #[test]
+    fn lane_pricing_matches_the_public_neighborhood_path_counter_for_counter() {
+        let profile = mixed_profile();
+        let kernel = crate::FrozenKernel::new(&profile);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        // Both routes, unbounded and under the parent's own cost (a climb's
+        // first incumbent, so the coset route abandons lanes).
+        for dim in [3usize, 4, 6, 8] {
+            let parent = gf2::PackedBasis::standard_span(12, 12 - dim..12);
+            let bound = kernel.cost(&parent);
+            let lanes = crate::search::NeighborLanes::generate(
+                &parent,
+                FunctionClass::xor_unlimited(),
+                &pool,
+            );
+            let hood = crate::search::PackedNeighborhood::generate(
+                &parent,
+                FunctionClass::xor_unlimited(),
+                &pool,
+            );
+            let mut from_lanes = EvalEngine::new(&profile);
+            let mut from_hood = EvalEngine::new(&profile);
+            // Twice, so the second pass runs on memo hits.
+            for _ in 0..2 {
+                assert_eq!(
+                    from_lanes.price_lanes_bounded(&lanes.hyperplanes, &lanes.lanes, bound),
+                    from_hood.estimate_neighborhood_bounded(&hood, bound),
+                    "dim={dim}"
+                );
+                assert_eq!(
+                    from_lanes.price_lanes(&lanes.hyperplanes, &lanes.lanes),
+                    from_hood.estimate_neighborhood(&hood),
+                    "dim={dim}"
+                );
+                assert_eq!(from_lanes.stats(), from_hood.stats(), "dim={dim}");
+                assert_eq!(from_lanes.memo().stats(), from_hood.memo().stats());
+                assert_eq!(
+                    from_lanes.scaffold_cache().stats(),
+                    from_hood.scaffold_cache().stats()
+                );
+            }
         }
     }
 

@@ -23,11 +23,13 @@
 //!    null spaces (neighbours differ in exactly one dimension), plus the
 //!    random-restart / simulated-annealing extensions and the exhaustive
 //!    optimal bit-selecting baseline of Patel et al. used in the paper's
-//!    Table 3. The whole layer is packed-native: candidate generation
-//!    ([`search::PackedNeighborhood`]), dedup/memoization
-//!    ([`gf2::CanonicalKey`]) and algorithm state all run on
-//!    [`gf2::PackedBasis`], with `Subspace` conversions only at API
-//!    boundaries.
+//!    Table 3. The whole layer is packed-native: neighbourhoods are
+//!    generated, deduplicated and priced as `(hyperplane, direction)` lanes
+//!    over [`gf2::PackedBasis`] hyperplanes, memoization is keyed by
+//!    [`gf2::CanonicalKey`] words, and a candidate's basis is built only
+//!    when a search tries or keeps it ([`search::PackedNeighborhood`] is
+//!    the public view with every basis materialized). `Subspace`
+//!    conversions happen only at API boundaries.
 //! 4. **Function classes** ([`FunctionClass`]): unrestricted XOR functions,
 //!    XOR functions with bounded gate fan-in, permutation-based functions
 //!    (paper Section 4) and plain bit-selecting functions.

@@ -9,9 +9,11 @@
 //! the worst a race can cost is one redundant recomputation.
 //!
 //! Probes are allocation-free: the caller's [`gf2::PackedBasis`] writes its
-//! key words into a stack buffer and the shard map is probed through the
-//! `Borrow<[u64]>` impl of [`CanonicalKey`]; the owned boxed key is built
-//! only when an entry is actually inserted.
+//! key words into a stack buffer — or a neighbourhood lane writes the words
+//! of `hyperplane ⊕ span(direction)` without building that basis
+//! ([`gf2::PackedBasis::extended_key_words`]) — and the shard map is probed
+//! through the `Borrow<[u64]>` impl of [`CanonicalKey`]; the owned boxed key
+//! is built only when an entry is actually inserted.
 //!
 //! The handle is internally reference-counted: cloning a `ShardedMemo` gives
 //! a second handle to the *same* table, which is how one application's memo
@@ -216,8 +218,8 @@ impl ShardedMemo {
         shard.lock().expect("memo shard lock poisoned")
     }
 
-    fn shard_of(&self, basis: &PackedBasis) -> &Mutex<Shard> {
-        let index = (basis.key_hash() as usize) % self.inner.shards.len();
+    fn shard_of(&self, words: &[u64]) -> &Mutex<Shard> {
+        let index = (gf2::hash_key_words(words) as usize) % self.inner.shards.len();
         &self.inner.shards[index]
     }
 
@@ -226,8 +228,15 @@ impl ShardedMemo {
     #[must_use]
     pub fn probe(&self, basis: &PackedBasis) -> Option<u64> {
         let mut buf = [0u64; 65];
-        let words = basis.key_words(&mut buf);
-        let mut shard = self.lock(self.shard_of(basis));
+        self.probe_words(basis.key_words(&mut buf))
+    }
+
+    /// [`ShardedMemo::probe`] for borrowed key words, as written by
+    /// [`PackedBasis::key_words`] or [`PackedBasis::extended_key_words`] —
+    /// the form a neighbourhood lane probes with, never building its basis.
+    #[must_use]
+    pub fn probe_words(&self, words: &[u64]) -> Option<u64> {
+        let mut shard = self.lock(self.shard_of(words));
         match shard.map.get(words) {
             Some(&cost) => {
                 shard.hits += 1;
@@ -246,15 +255,21 @@ impl ShardedMemo {
     /// succeeds and overwrites (the value is identical by construction).
     pub fn insert(&self, basis: &PackedBasis, cost: u64) -> bool {
         let mut buf = [0u64; 65];
-        let mut shard = self.lock(self.shard_of(basis));
+        self.insert_words(basis.key_words(&mut buf), cost)
+    }
+
+    /// [`ShardedMemo::insert`] for borrowed key words (see
+    /// [`ShardedMemo::probe_words`]); the owned key is built only here.
+    pub fn insert_words(&self, words: &[u64], cost: u64) -> bool {
+        let mut shard = self.lock(self.shard_of(words));
         if let Some(cap) = self.inner.per_shard_capacity {
             // Only a genuinely new entry can overflow the shard.
-            if shard.map.len() >= cap && !shard.map.contains_key(basis.key_words(&mut buf)) {
+            if shard.map.len() >= cap && !shard.map.contains_key(words) {
                 shard.rejected_inserts += 1;
                 return false;
             }
         }
-        shard.map.insert(basis.canonical_key(), cost);
+        shard.map.insert(CanonicalKey::from_words(words), cost);
         true
     }
 
@@ -281,8 +296,7 @@ impl ShardedMemo {
     pub fn price_with(&self, basis: &PackedBasis, compute: impl FnOnce() -> u64) -> (u64, bool) {
         let mut buf = [0u64; 65];
         let words = basis.key_words(&mut buf);
-        let index = (gf2::hash_key_words(words) as usize) % self.inner.shards.len();
-        let shard_mutex = &self.inner.shards[index];
+        let shard_mutex = self.shard_of(words);
         {
             let mut shard = self.lock(shard_mutex);
             match shard.map.get(words) {
@@ -301,7 +315,7 @@ impl ShardedMemo {
                 return (cost, false);
             }
         }
-        shard.map.insert(basis.canonical_key(), cost);
+        shard.map.insert(CanonicalKey::from_words(words), cost);
         (cost, false)
     }
 

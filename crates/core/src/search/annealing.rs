@@ -8,8 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::search::neighbors::PackedNeighborhood;
-use crate::search::{SearchOutcome, Searcher};
+use crate::search::{NeighborLanes, SearchOutcome, Searcher};
 use crate::{BoundedCost, HashFunction, XorIndexError};
 
 impl Searcher<'_> {
@@ -32,7 +31,7 @@ impl Searcher<'_> {
         seed: u64,
     ) -> Result<SearchOutcome, XorIndexError> {
         let mut engine = self.engine();
-        let pool = self.packed_pool();
+        let pool = self.packed_pool()?;
         let class = self.class();
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -56,12 +55,14 @@ impl Searcher<'_> {
         let mut temperature = initial_temperature.max(1e-9);
 
         for _ in 0..iterations {
-            let nbhd = PackedNeighborhood::generate(&current, class, &pool);
+            // Only the picked lane's basis is built; the rest of the
+            // neighbourhood exists to draw the proposal uniformly.
+            let nbhd = NeighborLanes::generate(&current, class, &pool);
             if nbhd.is_empty() {
                 break;
             }
             let pick = rng.gen_range(0..nbhd.len());
-            let candidate = &nbhd.candidates[pick].basis;
+            let candidate = nbhd.basis(pick);
             // Memoized: revisiting a proposal from an earlier iteration (or
             // the reverse of an accepted move) costs a table lookup.
             let cost = if self.bounded() {
@@ -73,17 +74,17 @@ impl Searcher<'_> {
                 // bound therefore makes the same decision and consumes the
                 // same single RNG draw as pricing the proposal exactly.
                 let bound = current_cost.saturating_add((800.0 * temperature).ceil() as u64);
-                match engine.estimate_packed_bounded(candidate, bound) {
+                match engine.estimate_packed_bounded(&candidate, bound) {
                     BoundedCost::Exact(cost) => cost,
                     BoundedCost::AtLeast(bound) => bound,
                 }
             } else {
-                engine.estimate_packed(candidate)
+                engine.estimate_packed(&candidate)
             };
             let delta = cost as f64 - current_cost as f64;
             let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temperature).exp();
             if accept {
-                current = candidate.clone();
+                current = candidate;
                 current_cost = cost;
                 steps += 1;
                 if cost < best_cost {

@@ -2,8 +2,7 @@
 
 use gf2::Subspace;
 
-use crate::search::neighbors::PackedNeighborhood;
-use crate::search::{SearchOutcome, Searcher};
+use crate::search::{NeighborLanes, SearchOutcome, Searcher};
 use crate::{EvalEngine, HashFunction, XorIndexError};
 
 impl Searcher<'_> {
@@ -53,18 +52,19 @@ impl Searcher<'_> {
         Ok(self.hill_climb_full(engine, start)?.0)
     }
 
-    /// [`Searcher::hill_climb_with`], additionally returning the winner's
-    /// full neighbourhood — the final climb iteration's candidate set, which
-    /// the loop would otherwise drop on the floor. Callers that rank
-    /// runner-up candidates around the winner (the serving layer's verified
-    /// optimization) reuse it instead of paying a second
-    /// [`PackedNeighborhood::generate`].
+    /// [`Searcher::hill_climb_with`], additionally returning the lanes of
+    /// the winner's full neighbourhood — the final climb iteration's
+    /// candidate set, which the loop would otherwise drop on the floor.
+    /// Callers that rank runner-up candidates around the winner (the serving
+    /// layer's verified optimization, through
+    /// [`Searcher::run_with_neighborhood`]) reuse it instead of generating
+    /// the same neighbourhood again.
     pub(crate) fn hill_climb_full(
         &self,
         engine: &mut EvalEngine<'_>,
         start: Subspace,
-    ) -> Result<(SearchOutcome, PackedNeighborhood), XorIndexError> {
-        let pool = self.packed_pool();
+    ) -> Result<(SearchOutcome, NeighborLanes), XorIndexError> {
+        let pool = self.packed_pool()?;
         let class = self.class();
 
         // Validate the start and prime the bookkeeping. The baseline is
@@ -84,17 +84,18 @@ impl Searcher<'_> {
 
         loop {
             // Evaluate the whole neighbourhood in one engine batch, cheapest
-            // check first: the engine prices every candidate, the (more
-            // expensive) fan-in admissibility check runs only on candidates
-            // that would be taken. With bounded pricing the incumbent is
-            // passed down so the engine can abandon any lane whose running
-            // sum saturates `best_cost` — such a lane's true cost is at
-            // least the incumbent, so it could never be moved to anyway.
-            let nbhd = PackedNeighborhood::generate(&current, class, &pool);
+            // check first: the engine prices every lane, and a candidate's
+            // basis is built — and the (more expensive) fan-in admissibility
+            // check run — only for candidates that would be taken. With
+            // bounded pricing the incumbent is passed down so the engine can
+            // abandon any lane whose running sum saturates `best_cost` —
+            // such a lane's true cost is at least the incumbent, so it could
+            // never be moved to anyway.
+            let nbhd = NeighborLanes::generate(&current, class, &pool);
             let mut below: Vec<(u64, usize)> = Vec::new();
             if self.bounded() {
                 for (i, cost) in engine
-                    .estimate_neighborhood_bounded(&nbhd, best_cost)
+                    .price_lanes_bounded(&nbhd.hyperplanes, &nbhd.lanes, best_cost)
                     .into_iter()
                     .enumerate()
                 {
@@ -105,7 +106,11 @@ impl Searcher<'_> {
                     }
                 }
             } else {
-                for (i, &cost) in engine.estimate_neighborhood(&nbhd).iter().enumerate() {
+                for (i, &cost) in engine
+                    .price_lanes(&nbhd.hyperplanes, &nbhd.lanes)
+                    .iter()
+                    .enumerate()
+                {
                     if cost < best_cost {
                         below.push((cost, i));
                     }
@@ -118,10 +123,10 @@ impl Searcher<'_> {
 
             let mut moved = false;
             for (cost, i) in below {
-                let basis = &nbhd.candidates[i].basis;
+                let basis = nbhd.basis(i);
                 match HashFunction::from_null_space(&basis.to_subspace(), class) {
                     Ok(function) => {
-                        current = basis.clone();
+                        current = basis;
                         best_cost = cost;
                         best_function = function;
                         steps += 1;

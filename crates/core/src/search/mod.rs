@@ -3,9 +3,12 @@
 //! The search operates on *null spaces* rather than matrices (paper Section 3.2):
 //! equal null spaces give identical conflict behaviour, and canonical bases
 //! make equality checks cheap, so no function is evaluated twice. The native
-//! null-space currency of the whole layer is [`gf2::PackedBasis`]: candidate
-//! generation ([`PackedNeighborhood`]), deduplication and memoization
-//! ([`gf2::CanonicalKey`]), and each algorithm's current/best state are all
+//! null-space currency of the whole layer is [`gf2::PackedBasis`]:
+//! neighbourhoods are generated, deduplicated and priced as `(hyperplane,
+//! direction)` lanes over packed hyperplanes (a candidate's basis is built
+//! only when a search tries or keeps it; [`PackedNeighborhood`] is the
+//! public view with every basis materialized), memoization is keyed by
+//! [`gf2::CanonicalKey`] words, and each algorithm's current/best state is
 //! packed `u64` words, with [`Subspace`](gf2::Subspace) conversions only at
 //! public API boundaries (start points and the final
 //! [`HashFunction`] construction). Candidate quality is judged with the
@@ -47,6 +50,7 @@ pub use neighbors::{
     neighborhood, neighbors, NeighborCandidate, NeighborPool, Neighborhood, PackedCandidate,
     PackedNeighborhood,
 };
+pub(crate) use neighbors::{parent_span, NeighborLanes};
 
 /// Which search algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -342,11 +346,13 @@ impl<'a> Searcher<'a> {
 
     /// Like [`Searcher::run`], but for hill climbing also returns the
     /// winner's full neighbourhood — the candidate set the final climb
-    /// iteration generated and found no improvement in. Callers that go on
-    /// to rank runner-up candidates around the winner (the serving layer's
-    /// verified optimization picks its `top_k` there) reuse it instead of
-    /// regenerating the same neighbourhood from scratch. Algorithms whose
-    /// final state carries no neighbourhood return `None`.
+    /// iteration generated and found no improvement in, with its bases
+    /// materialized here (the climb itself carries only lanes). Callers that
+    /// go on to rank runner-up candidates around the winner (the serving
+    /// layer's verified optimization picks its `top_k` there) reuse it
+    /// instead of regenerating the same neighbourhood from scratch.
+    /// Algorithms whose final state carries no neighbourhood (random
+    /// restart, annealing, exhaustive bit selection) return `None`.
     ///
     /// # Errors
     ///
@@ -358,9 +364,9 @@ impl<'a> Searcher<'a> {
         match algorithm {
             SearchAlgorithm::HillClimb => {
                 let mut engine = self.engine();
-                let (outcome, neighborhood) =
+                let (outcome, lanes) =
                     self.hill_climb_full(&mut engine, self.conventional_null_space())?;
-                Ok((outcome, Some(neighborhood)))
+                Ok((outcome, Some(lanes.materialize())))
             }
             other => Ok((self.run(other)?, None)),
         }
@@ -368,8 +374,15 @@ impl<'a> Searcher<'a> {
 
     /// Pool of replacement directions for this searcher, in the packed form
     /// neighbourhood generation consumes.
-    fn packed_pool(&self) -> Vec<u64> {
-        self.pool.packed_vectors(self.hashed_bits(), self.profile)
+    ///
+    /// # Errors
+    ///
+    /// [`XorIndexError::ProfileMismatch`] when a custom direction has a set
+    /// bit outside the profile's hashed width (see
+    /// [`NeighborPool::check_width`]).
+    fn packed_pool(&self) -> Result<Vec<u64>, XorIndexError> {
+        self.pool.check_width(self.hashed_bits())?;
+        Ok(self.pool.packed_vectors(self.hashed_bits(), self.profile))
     }
 }
 
@@ -446,6 +459,41 @@ mod tests {
         assert_eq!(capped.function, reference.function);
         assert_eq!(capped.estimated_misses, reference.estimated_misses);
         assert_eq!(capped.baseline_estimate, reference.baseline_estimate);
+    }
+
+    #[test]
+    fn out_of_width_pool_directions_are_a_typed_error() {
+        let p = ping_pong_profile();
+        let searcher = |directions: Vec<gf2::BitVec>| {
+            Searcher::new(&p, FunctionClass::xor_unlimited(), 6)
+                .unwrap()
+                .with_pool(NeighborPool::Custom(directions))
+        };
+        let outside = searcher(vec![gf2::BitVec::unit(1, 12), gf2::BitVec::unit(20, 24)]);
+        for algorithm in [
+            SearchAlgorithm::HillClimb,
+            SearchAlgorithm::RandomRestart {
+                restarts: 2,
+                seed: 1,
+            },
+            SearchAlgorithm::Annealing {
+                iterations: 4,
+                initial_temperature: 10.0,
+                seed: 1,
+            },
+        ] {
+            assert_eq!(
+                outside.run(algorithm),
+                Err(XorIndexError::ProfileMismatch {
+                    profile_bits: 12,
+                    candidate_bits: 21,
+                }),
+                "{algorithm:?}"
+            );
+        }
+        // A direction whose bits fit is fine even with a wider BitVec.
+        let fitting = searcher(vec![gf2::BitVec::unit(6, 24), gf2::BitVec::unit(7, 12)]);
+        assert!(fitting.run(SearchAlgorithm::HillClimb).is_ok());
     }
 
     #[test]

@@ -12,20 +12,22 @@
 //! (small fan-in) while keeping each hill-climbing step fast. The pool is
 //! configurable through [`NeighborPool`].
 //!
-//! Generation is *packed-native*: [`PackedNeighborhood::generate`] works
-//! entirely on [`PackedBasis`] word arithmetic — incremental hyperplane
-//! enumeration, one-`insert` extensions and [`CanonicalKey`]-keyed
-//! deduplication — so no heap-allocated [`Subspace`] and no full Gaussian
-//! elimination appears anywhere on the search hot path. The
-//! [`Subspace`]-based [`Neighborhood`] view remains as the public boundary
-//! representation, converted from the packed form on demand.
+//! Generation is *lane-native*: a neighbourhood is its retained hyperplanes
+//! plus one `(hyperplane, direction)` lane per candidate (`NeighborLanes`),
+//! built from incremental hyperplane enumeration and one `u64` reduction per
+//! lane, which also deduplicates (a candidate is identified by its
+//! hyperplane and the direction's remainder modulo it). Pricing reads the
+//! lanes directly; a candidate's [`PackedBasis`] is built only when a search
+//! tries or keeps it. [`PackedNeighborhood`] is the public view with every
+//! basis materialized, and the [`Subspace`]-based [`Neighborhood`] view is
+//! converted from it on demand.
 
 use std::collections::HashSet;
 
-use gf2::{BitVec, CanonicalKey, PackedBasis, Subspace};
+use gf2::{BitVec, PackedBasis, Subspace};
 use serde::{Deserialize, Serialize};
 
-use crate::{ConflictProfile, FunctionClass};
+use crate::{ConflictProfile, FunctionClass, XorIndexError};
 
 /// The pool of replacement directions used to build neighbours.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -87,6 +89,32 @@ impl NeighborPool {
         out
     }
 
+    /// Checks that every direction fits `hashed_bits` address bits. Only a
+    /// [`NeighborPool::Custom`] direction can fail; one whose set bits fit
+    /// passes whatever its [`BitVec`] width.
+    ///
+    /// # Errors
+    ///
+    /// [`XorIndexError::ProfileMismatch`] naming the number of bits the
+    /// widest offending direction needs.
+    pub fn check_width(&self, hashed_bits: usize) -> Result<(), XorIndexError> {
+        let NeighborPool::Custom(vectors) = self else {
+            return Ok(());
+        };
+        let needed = vectors
+            .iter()
+            .map(|v| 64 - v.as_u64().leading_zeros() as usize)
+            .max()
+            .unwrap_or(0);
+        if needed > hashed_bits {
+            return Err(XorIndexError::ProfileMismatch {
+                profile_bits: hashed_bits,
+                candidate_bits: needed,
+            });
+        }
+        Ok(())
+    }
+
     /// Materializes the pool as packed `u64` directions, the form the
     /// packed-native search algorithms consume. Same contents and order as
     /// [`NeighborPool::vectors`].
@@ -96,6 +124,232 @@ impl NeighborPool {
             .iter()
             .map(|v| v.as_u64())
             .collect()
+    }
+}
+
+/// A neighbourhood in lane form: the retained hyperplanes plus one
+/// `(hyperplane index, direction)` lane per candidate, with no candidate
+/// basis built — the representation generation, pricing and the search
+/// algorithms carry. A lane's basis is materialized
+/// ([`NeighborLanes::basis`]) only for the candidates a search tries or
+/// keeps.
+///
+/// Generation rests on two facts about a parent `P`, a hyperplane `H ⊂ P`
+/// and a direction `d ∉ P`. First, `E = H ⊕ span(d)` meets `P` exactly in
+/// `H`, so two hyperplanes never yield the same candidate. Second, over one
+/// `H`, directions `d` and `d′` yield the same `E` iff `H.reduce(d) =
+/// H.reduce(d′)`. Deduplication is therefore one `u64` reduction per lane,
+/// keeping the first direction per remainder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct NeighborLanes {
+    /// Ambient width of the hashed address space.
+    pub(crate) width: usize,
+    /// The distinct hyperplanes of the parent that lanes retain.
+    pub(crate) hyperplanes: Vec<PackedBasis>,
+    /// `(index into hyperplanes, direction)` per candidate, in generation
+    /// order.
+    pub(crate) lanes: Vec<(usize, u64)>,
+}
+
+impl NeighborLanes {
+    /// Generates the lanes of `parent`'s neighbourhood admissible for
+    /// `class`, in the order [`PackedNeighborhood::generate`] documents.
+    pub(crate) fn generate(parent: &PackedBasis, class: FunctionClass, pool: &[u64]) -> Self {
+        let n = parent.width();
+        if class == FunctionClass::BitSelecting {
+            return Self::bit_select(parent);
+        }
+        // Directions inside the parent span never produce a neighbour, and
+        // the test does not depend on the hyperplane — filter the pool once
+        // instead of once per hyperplane.
+        let pool: Vec<u64> = pool
+            .iter()
+            .copied()
+            .filter(|&v| !parent.contains(v))
+            .collect();
+        // Eq. 5 for `H ⊕ span(d)`: the projections onto the high bits `m..n`
+        // of `H`'s rows and of `d` are linearly independent.
+        let m = n - parent.dim();
+        let high_mask = if m >= 64 { 0 } else { u64::MAX << m };
+        let permutation = matches!(class, FunctionClass::PermutationBased { .. });
+        let mut seen = RemainderSet::with_capacity(pool.len());
+        let mut hyperplanes = Vec::new();
+        let mut lanes = Vec::new();
+        for hyperplane in parent.hyperplanes() {
+            let projected = if permutation {
+                let mut projected = PackedBasis::trivial(n);
+                if !hyperplane
+                    .rows()
+                    .iter()
+                    .all(|&row| projected.insert(row & high_mask))
+                {
+                    // `H` itself meets the low span: no extension of it can
+                    // satisfy Eq. 5.
+                    continue;
+                }
+                Some(projected)
+            } else {
+                None
+            };
+            let hyperplane_index = hyperplanes.len();
+            let first_lane = lanes.len();
+            seen.clear();
+            for &v in &pool {
+                if let Some(projected) = &projected {
+                    if projected.reduce(v & high_mask) == 0 {
+                        continue;
+                    }
+                }
+                if seen.insert(hyperplane.reduce(v)) {
+                    lanes.push((hyperplane_index, v));
+                }
+            }
+            if lanes.len() > first_lane {
+                hyperplanes.push(hyperplane);
+            }
+        }
+        NeighborLanes {
+            width: n,
+            hyperplanes,
+            lanes,
+        }
+    }
+
+    /// Structural neighbourhood for bit-selecting functions: the null space is
+    /// a coordinate subspace `span{e_i : i ∉ S}`; a neighbour swaps one
+    /// excluded bit for one selected bit. The retained hyperplane is the span
+    /// of the excluded bits minus the dropped one, and the direction is the
+    /// newly excluded unit vector.
+    fn bit_select(parent: &PackedBasis) -> Self {
+        let n = parent.width();
+        let mut hyperplanes = Vec::new();
+        let mut lanes = Vec::new();
+        // Not a coordinate subspace: no structural neighbours.
+        if parent.is_coordinate_subspace() {
+            // Canonical rows are sorted by decreasing pivot, so the excluded
+            // bits come out in decreasing order (the order the Subspace path
+            // produced).
+            let excluded: Vec<usize> = parent
+                .rows()
+                .iter()
+                .map(|r| r.trailing_zeros() as usize)
+                .collect();
+            let selected: Vec<usize> = (0..n).filter(|i| !excluded.contains(i)).collect();
+            for &drop in &excluded {
+                let hyperplane_index = hyperplanes.len();
+                hyperplanes.push(PackedBasis::standard_span(
+                    n,
+                    excluded.iter().copied().filter(|&b| b != drop),
+                ));
+                lanes.extend(selected.iter().map(|&add| (hyperplane_index, 1u64 << add)));
+            }
+        }
+        NeighborLanes {
+            width: n,
+            hyperplanes,
+            lanes,
+        }
+    }
+
+    /// Number of lanes.
+    pub(crate) fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// `true` when there are no lanes.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lanes.is_empty()
+    }
+
+    /// The canonical basis of lane `i`: its hyperplane extended by its
+    /// direction.
+    pub(crate) fn basis(&self, i: usize) -> PackedBasis {
+        let (hyperplane, direction) = self.lanes[i];
+        self.hyperplanes[hyperplane].extended(direction)
+    }
+
+    /// Builds every candidate basis: the public [`PackedNeighborhood`] view.
+    pub(crate) fn materialize(self) -> PackedNeighborhood {
+        let candidates = self
+            .lanes
+            .iter()
+            .enumerate()
+            .map(|(i, &(hyperplane, direction))| PackedCandidate {
+                hyperplane,
+                direction,
+                basis: self.basis(i),
+            })
+            .collect();
+        PackedNeighborhood {
+            width: self.width,
+            hyperplanes: self.hyperplanes,
+            candidates,
+        }
+    }
+}
+
+/// A subspace every hyperplane of a lane list is a hyperplane *of* — the
+/// shared parent the coset-sliced evaluation path reduces against. `None`
+/// for an empty lane list.
+///
+/// The parent is reconstructed rather than stored: two distinct hyperplanes
+/// of it sum to it, and when only one hyperplane was retained, the first
+/// lane's candidate (`hyperplane ⊕ span(direction)`) serves — the
+/// decomposition identities only need the hyperplanes to sit one dimension
+/// below the returned span, which that candidate satisfies.
+pub(crate) fn parent_span(
+    hyperplanes: &[PackedBasis],
+    lanes: &[(usize, u64)],
+) -> Option<PackedBasis> {
+    let &(first_hyperplane, first_direction) = lanes.first()?;
+    if hyperplanes.len() >= 2 {
+        let mut parent = hyperplanes[0].clone();
+        for &row in hyperplanes[1].rows() {
+            parent.insert(row);
+        }
+        debug_assert_eq!(parent.dim(), hyperplanes[0].dim() + 1);
+        Some(parent)
+    } else {
+        Some(hyperplanes[first_hyperplane].extended(first_direction))
+    }
+}
+
+/// An open-addressed set of non-zero `u64` remainders, sized for one pool
+/// and cleared once per hyperplane.
+struct RemainderSet {
+    slots: Vec<u64>,
+}
+
+impl RemainderSet {
+    /// A set that holds `len` remainders at a load factor of at most ½.
+    fn with_capacity(len: usize) -> Self {
+        RemainderSet {
+            slots: vec![0; (2 * len).next_power_of_two().max(2)],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(0);
+    }
+
+    /// Adds a non-zero remainder; `true` when it was not present yet.
+    fn insert(&mut self, remainder: u64) -> bool {
+        debug_assert_ne!(
+            remainder, 0,
+            "a direction outside the parent has a non-zero remainder"
+        );
+        let mask = self.slots.len() - 1;
+        let mut slot = (remainder.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => {
+                    self.slots[slot] = remainder;
+                    return true;
+                }
+                seen if seen == remainder => return false,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
     }
 }
 
@@ -118,8 +372,8 @@ pub struct PackedCandidate {
 }
 
 /// The full neighbourhood of a null space in packed form, grouped by retained
-/// hyperplane — the representation that flows through candidate generation,
-/// memoization and all four search algorithms.
+/// hyperplane, with every candidate basis materialized — the public view of
+/// the lane form the search algorithms carry internally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedNeighborhood {
     /// Ambient width of the hashed address space.
@@ -134,119 +388,28 @@ impl PackedNeighborhood {
     /// Generates the neighbours of `parent` admissible for `class`, using the
     /// given packed replacement-direction pool.
     ///
+    /// Hyperplanes come in [`PackedBasis::hyperplanes`] order, and only those
+    /// that yield a candidate are kept. Per hyperplane, candidates follow the
+    /// pool order; pool directions inside the parent are skipped, and of the
+    /// directions yielding the same candidate only the first is kept. For
+    /// the permutation-based class, candidates violating Eq. 5 are left out;
+    /// fan-in bounds are cheaper to check on the chosen candidate only, so
+    /// they are left to the caller via [`FunctionClass::admits`].
+    ///
     /// For the bit-selecting class the neighbourhood is generated structurally
     /// (swap one selected address bit for an unselected one), which is both
     /// exact and far smaller.
     #[must_use]
     pub fn generate(parent: &PackedBasis, class: FunctionClass, pool: &[u64]) -> Self {
-        let n = parent.width();
-        let m = n - parent.dim();
-        if class == FunctionClass::BitSelecting {
-            return Self::bit_select(parent);
-        }
-        // Directions inside the parent span never produce a neighbour, and
-        // the test does not depend on the hyperplane — filter the pool once
-        // instead of once per hyperplane.
-        let pool: Vec<u64> = pool
-            .iter()
-            .copied()
-            .filter(|&v| !parent.contains(v))
-            .collect();
-        let mut seen: HashSet<CanonicalKey> = HashSet::new();
-        let mut hyperplanes = Vec::new();
-        let mut candidates = Vec::new();
-        let mut buf = [0u64; 65];
-        for hyperplane in parent.hyperplanes() {
-            let hyperplane_index = hyperplanes.len();
-            let mut used = false;
-            for &v in &pool {
-                let candidate = hyperplane.extended(v);
-                debug_assert_eq!(candidate.dim(), parent.dim());
-                // candidate contains v and parent does not (the pool is
-                // pre-filtered), so candidate can never equal parent.
-                debug_assert_ne!(&candidate, parent);
-                // Probe with the stack-buffered key words; the boxed key is
-                // only allocated for candidates that are actually admitted.
-                if seen.contains(candidate.key_words(&mut buf)) {
-                    continue;
-                }
-                if Self::admissible(&candidate, class, m) {
-                    seen.insert(candidate.canonical_key());
-                    candidates.push(PackedCandidate {
-                        hyperplane: hyperplane_index,
-                        direction: v,
-                        basis: candidate,
-                    });
-                    used = true;
-                }
-            }
-            if used {
-                hyperplanes.push(hyperplane);
-            }
-        }
-        PackedNeighborhood {
-            width: n,
-            hyperplanes,
-            candidates,
-        }
+        NeighborLanes::generate(parent, class, pool).materialize()
     }
 
-    /// Cheap admissibility pre-filter. The permutation-based structural
-    /// condition (Eq. 5) is checked here; fan-in bounds are cheaper to check
-    /// on the chosen candidate only, so they are left to the caller via
-    /// [`FunctionClass::admits`].
-    fn admissible(candidate: &PackedBasis, class: FunctionClass, m: usize) -> bool {
-        match class {
-            FunctionClass::BitSelecting => candidate.is_coordinate_subspace(),
-            FunctionClass::Xor { .. } => true,
-            FunctionClass::PermutationBased { .. } => candidate.admits_permutation_based(m),
-        }
-    }
-
-    /// Structural neighbourhood for bit-selecting functions: the null space is
-    /// a coordinate subspace `span{e_i : i ∉ S}`; a neighbour swaps one
-    /// excluded bit for one selected bit. The retained hyperplane is the span
-    /// of the excluded bits minus the dropped one, and the direction is the
-    /// newly excluded unit vector.
-    fn bit_select(parent: &PackedBasis) -> Self {
-        let n = parent.width();
-        if !parent.is_coordinate_subspace() {
-            // Not a coordinate subspace: no structural neighbours.
-            return PackedNeighborhood {
-                width: n,
-                hyperplanes: Vec::new(),
-                candidates: Vec::new(),
-            };
-        }
-        // Canonical rows are sorted by decreasing pivot, so the excluded bits
-        // come out in decreasing order (the order the Subspace path produced).
-        let excluded: Vec<usize> = parent
-            .rows()
+    /// The `(hyperplane, direction)` lanes of the candidates, in order.
+    pub(crate) fn lanes(&self) -> Vec<(usize, u64)> {
+        self.candidates
             .iter()
-            .map(|r| r.trailing_zeros() as usize)
-            .collect();
-        let selected: Vec<usize> = (0..n).filter(|i| !excluded.contains(i)).collect();
-        let mut hyperplanes = Vec::new();
-        let mut candidates = Vec::new();
-        for &drop in &excluded {
-            let retained: Vec<usize> = excluded.iter().copied().filter(|&b| b != drop).collect();
-            let hyperplane_index = hyperplanes.len();
-            hyperplanes.push(PackedBasis::standard_span(n, retained.iter().copied()));
-            for &add in &selected {
-                let mut new_excluded = retained.clone();
-                new_excluded.push(add);
-                candidates.push(PackedCandidate {
-                    hyperplane: hyperplane_index,
-                    direction: 1u64 << add,
-                    basis: PackedBasis::standard_span(n, new_excluded),
-                });
-            }
-        }
-        PackedNeighborhood {
-            width: n,
-            hyperplanes,
-            candidates,
-        }
+            .map(|c| (c.hyperplane, c.direction))
+            .collect()
     }
 
     /// Number of candidates.
@@ -277,19 +440,8 @@ impl PackedNeighborhood {
     /// dimension below the returned span, which that candidate satisfies.
     #[must_use]
     pub fn parent_span(&self) -> Option<PackedBasis> {
-        if self.candidates.is_empty() {
-            return None;
-        }
-        if self.hyperplanes.len() >= 2 {
-            let mut parent = self.hyperplanes[0].clone();
-            for &row in self.hyperplanes[1].rows() {
-                parent.insert(row);
-            }
-            debug_assert_eq!(parent.dim(), self.hyperplanes[0].dim() + 1);
-            Some(parent)
-        } else {
-            Some(self.candidates[0].basis.clone())
-        }
+        let first = self.candidates.first()?;
+        parent_span(&self.hyperplanes, &[(first.hyperplane, first.direction)])
     }
 
     /// Converts to the [`Subspace`]-based boundary view, preserving order and

@@ -84,6 +84,14 @@ pub struct PackedBasis {
 pub struct CanonicalKey(Box<[u64]>);
 
 impl CanonicalKey {
+    /// The owned key for borrowed key words, as written by
+    /// [`PackedBasis::key_words`] or [`PackedBasis::extended_key_words`] —
+    /// equal to the owning basis's [`PackedBasis::canonical_key`].
+    #[must_use]
+    pub fn from_words(words: &[u64]) -> Self {
+        CanonicalKey(words.into())
+    }
+
     /// The raw key words: the ambient width followed by the canonical rows.
     #[must_use]
     pub fn as_words(&self) -> &[u64] {
@@ -322,6 +330,57 @@ impl PackedBasis {
         buf[0] = self.width as u64;
         buf[1..=self.rows.len()].copy_from_slice(&self.rows);
         &buf[..self.rows.len() + 1]
+    }
+
+    /// Writes the key words of `self.extended(v)` into `buf` and returns the
+    /// filled prefix, without building the extended basis — equal to
+    /// `self.extended(v).key_words(..)`. This is how a neighbourhood lane
+    /// `hyperplane ⊕ span(direction)` probes a memo keyed by
+    /// [`CanonicalKey`] without materializing its basis.
+    ///
+    /// The remainder of `v` becomes the new row as-is; its pivot is cleared
+    /// from the (higher-pivot) rows that carry it, and it is written at the
+    /// position that keeps the rows sorted by decreasing pivot — the same
+    /// steps as [`PackedBasis::insert`], streamed into the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` has bits outside the ambient width.
+    pub fn extended_key_words<'a>(&self, v: u64, buf: &'a mut [u64; 65]) -> &'a [u64] {
+        assert_eq!(
+            v & !self.low_mask(),
+            0,
+            "generator has bits outside GF(2)^{}",
+            self.width
+        );
+        let remainder = self.reduce(v);
+        if remainder == 0 {
+            return self.key_words(buf);
+        }
+        let pivot = 1u64 << (63 - remainder.leading_zeros());
+        buf[0] = self.width as u64;
+        let mut len = 1;
+        let mut placed = false;
+        for &row in &self.rows {
+            // Rows with a pivot above the remainder's keep their leading bit
+            // after the XOR, so comparing before or after it is the same.
+            if !placed && row < remainder {
+                buf[len] = remainder;
+                len += 1;
+                placed = true;
+            }
+            buf[len] = if row & pivot != 0 {
+                row ^ remainder
+            } else {
+                row
+            };
+            len += 1;
+        }
+        if !placed {
+            buf[len] = remainder;
+            len += 1;
+        }
+        &buf[..len]
     }
 
     /// The stable 64-bit hash of this basis's canonical key, computed without

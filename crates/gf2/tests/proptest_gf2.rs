@@ -335,6 +335,31 @@ proptest! {
     }
 
     #[test]
+    fn extended_key_words_match_the_extended_basis(
+        seed in any::<u64>(),
+        n in 1usize..=64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = (seed as usize >> 8) % (n + 1);
+        let space = random::random_subspace(&mut rng, n, dim);
+        let packed = gf2::PackedBasis::from_subspace(&space);
+        let mut directions: Vec<u64> = (0..16)
+            .map(|_| random::random_vector(&mut rng, n).as_u64())
+            .collect();
+        // Directions inside the span (zero included) leave the basis as is.
+        directions.push(0);
+        directions.extend(packed.vectors().take(4));
+        let (mut buf, mut expected_buf) = ([0u64; 65], [0u64; 65]);
+        for v in directions {
+            let extended = packed.extended(v);
+            let words = packed.extended_key_words(v, &mut buf);
+            prop_assert_eq!(words, extended.key_words(&mut expected_buf), "v={:#x}", v);
+            prop_assert_eq!(gf2::hash_key_words(words), extended.key_hash());
+            prop_assert_eq!(gf2::CanonicalKey::from_words(words), extended.canonical_key());
+        }
+    }
+
+    #[test]
     fn canonical_keys_are_injective_on_subspaces(
         seed in any::<u64>(),
         n in 2usize..=12,

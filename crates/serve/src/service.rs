@@ -451,7 +451,9 @@ impl IndexService {
     /// # Errors
     ///
     /// [`ServeError::InvalidGeometry`] when the cache's set bits are zero or
-    /// at least the profile's hashed width.
+    /// at least the profile's hashed width, and [`ServeError::WidthMismatch`]
+    /// when a [`NeighborPool::Custom`] direction has a set bit at or above
+    /// the profile's hashed width.
     pub fn register(&self, registration: Registration) -> Result<AppId, ServeError> {
         let hashed_bits = registration.profile.hashed_bits();
         let set_bits = registration.cache.set_bits();
@@ -461,6 +463,12 @@ impl IndexService {
                 set_bits,
             });
         }
+        // A custom pool direction with a bit outside the profile would fail
+        // every later search on this application: reject it up front.
+        registration
+            .pool
+            .check_width(hashed_bits)
+            .map_err(Self::width_error)?;
         if let Some(trace) = &registration.trace {
             if trace.len() > registration.trace_cap_blocks {
                 return Err(ServeError::TraceTooLarge {
@@ -527,7 +535,12 @@ impl IndexService {
     /// ([`FrozenKernel::ensure_width`]), so the serving layer and the pricing
     /// core agree on what a malformed candidate is.
     fn check_width(app: &Application, basis: &PackedBasis) -> Result<(), ServeError> {
-        app.kernel.ensure_width(basis).map_err(|e| match e {
+        app.kernel.ensure_width(basis).map_err(Self::width_error)
+    }
+
+    /// Maps a core width error onto [`ServeError::WidthMismatch`].
+    fn width_error(e: XorIndexError) -> ServeError {
+        match e {
             XorIndexError::ProfileMismatch {
                 profile_bits,
                 candidate_bits,
@@ -536,7 +549,7 @@ impl IndexService {
                 actual: candidate_bits,
             },
             other => ServeError::Search(other),
-        })
+        }
     }
 
     /// Prices one candidate null space for an application: a typed width
@@ -714,8 +727,9 @@ impl IndexService {
         let top_k = top_k.max(1);
 
         // The candidate set: the search winner first, then its neighbourhood
-        // ranked by (estimate, generation order). Generation already
-        // deduplicates candidates under canonical null-space keys and never
+        // ranked by (estimate, generation order). Generation never yields
+        // the same null space twice (each candidate has its own hyperplane
+        // or its own direction remainder modulo that hyperplane) and never
         // yields the parent itself, so no further dedup is needed here.
         let winner_basis = search.function.null_space().to_packed();
         let mut functions = vec![search.function.clone()];
@@ -723,8 +737,9 @@ impl IndexService {
         if top_k > 1 {
             let hood = match hood {
                 Some(hood) => hood,
-                // Algorithms that carry no final neighbourhood (annealing,
-                // exhaustive bit selection) pay one generation here.
+                // Algorithms that carry no final neighbourhood (random
+                // restart, annealing, exhaustive bit selection) pay one
+                // generation here.
                 None => {
                     let pool = app
                         .pool
@@ -901,6 +916,7 @@ impl IndexService {
 mod tests {
     use super::*;
     use cache_sim::BlockAddr;
+    use gf2::BitVec;
     use xorindex::EvalEngine;
 
     fn profile(hashed_bits: usize) -> ConflictProfile {
@@ -987,6 +1003,35 @@ mod tests {
         let hits_before = service.stats(app).unwrap().memo;
         assert!(service.price_batch(app, &[good, wide.clone()]).is_err());
         assert_eq!(service.stats(app).unwrap().memo, hits_before);
+    }
+
+    #[test]
+    fn register_rejects_custom_pool_directions_outside_the_profile() {
+        let service = IndexService::new();
+        let with_pool = |directions: Vec<BitVec>| {
+            Registration::new(profile(16), CacheConfig::paper_cache(1))
+                .with_class(FunctionClass::xor_unlimited())
+                .with_pool(NeighborPool::Custom(directions))
+        };
+        assert_eq!(
+            service.register(with_pool(vec![BitVec::unit(3, 16), BitVec::unit(20, 24)])),
+            Err(ServeError::WidthMismatch {
+                expected: 16,
+                actual: 21,
+            })
+        );
+        assert!(service.is_empty());
+        // Directions whose bits fit keep working, whatever their width.
+        let directions = vec![BitVec::unit(15, 24), BitVec::unit(3, 16)];
+        let app = service.register(with_pool(directions.clone())).unwrap();
+        let served = service.run_search(app, SearchAlgorithm::HillClimb).unwrap();
+        let standalone = Searcher::new(&profile(16), FunctionClass::xor_unlimited(), 8)
+            .unwrap()
+            .with_pool(NeighborPool::Custom(directions))
+            .run(SearchAlgorithm::HillClimb)
+            .unwrap();
+        assert_eq!(served.function, standalone.function);
+        assert_eq!(served.estimated_misses, standalone.estimated_misses);
     }
 
     #[test]

@@ -340,6 +340,10 @@ fn get_app(buf: &mut &[u8], version: u32) -> Result<Application, SnapshotError> 
             "cache with {set_bits} set bits cannot serve a {hashed_bits}-bit profile"
         )));
     }
+    // The same pool rule `register` enforces: a restored application must not
+    // fail (or panic) on its first search.
+    pool.check_width(hashed_bits)
+        .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
     let profile = ConflictProfile::from_histogram(dense.iter(), hashed_bits, capacity_blocks);
     let memo = match memo_capacity {
         Some(cap) => ShardedMemo::with_capacity(cap),
@@ -623,6 +627,34 @@ mod tests {
         assert!(matches!(
             restored.simulate_function(a, &function),
             Err(ServeError::NoRetainedTrace(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_a_pool_direction_outside_the_profile() {
+        let service = IndexService::new();
+        service
+            .register(
+                Registration::new(profile(12), CacheConfig::paper_cache(1))
+                    .with_pool(NeighborPool::Custom(vec![BitVec::from_u64(1 << 11, 24)])),
+            )
+            .unwrap();
+        let mut image = service.snapshot();
+        // A wide direction whose bits fit the profile round trips.
+        assert!(IndexService::restore(&image).is_ok());
+        // Move its bit to 20, past the 12-bit profile, and re-seal the image.
+        let encoded = [&[24u8][..], &(1u64 << 11).to_be_bytes()].concat();
+        let at = image
+            .windows(encoded.len())
+            .position(|w| w == encoded.as_slice())
+            .expect("the direction is encoded as width then bits");
+        image[at + 1..at + 9].copy_from_slice(&(1u64 << 20).to_be_bytes());
+        let body = image.len() - 8;
+        let checksum = fnv1a(&image[..body]);
+        image[body..].copy_from_slice(&checksum.to_be_bytes());
+        assert!(matches!(
+            IndexService::restore(&image),
+            Err(SnapshotError::Invalid(_))
         ));
     }
 
